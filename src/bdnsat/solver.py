@@ -1,10 +1,12 @@
 """SAT solving: a built-in DPLL for hermetic runs, or an external process.
 
 The internal solver is deliberately plain (unit propagation through watched
-literals, pure-literal elimination during preprocessing, chronological
-backtracking, no clause learning); it exists so the pipeline and tests run
-without any system solver.  External solvers are invoked as ``<exe>
-<cnf-file>`` and read back in SAT-competition output format.
+literals, no preprocessing beyond dropping duplicate literals and tautologies,
+chronological backtracking, no clause learning); it exists so the pipeline
+and tests run without any system solver.  It reports decision, conflict and
+propagation counts; external results leave them at 0.  External solvers are
+invoked as ``<exe> <cnf-file>`` and read back in SAT-competition output
+format.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ import re
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import neg
 
 from .formula import CnfFormula, emit_dimacs
 
@@ -36,6 +39,9 @@ class SatResult:
     wall_time: float = 0.0
     solver: str = "internal"
     diagnostics: str = ""
+    decisions: int = 0
+    conflicts: int = 0
+    propagations: int = 0  # implied literals
 
     def __post_init__(self):
         if (self.status == SAT) != (self.assignment is not None):
@@ -72,8 +78,7 @@ def solve(cnf: CnfFormula, config: SolverConfig | None = None) -> SatResult:
     elapsed = time.monotonic() - start
     if result.status == SAT:
         _check_model(cnf, result.assignment)
-    return SatResult(result.status, result.assignment, elapsed,
-                     result.solver, result.diagnostics)
+    return replace(result, wall_time=elapsed)
 
 
 def _check_model(cnf: CnfFormula, assignment: dict[int, bool]) -> None:
@@ -88,154 +93,114 @@ def _check_model(cnf: CnfFormula, assignment: dict[int, bool]) -> None:
 # --- internal DPLL ----------------------------------------------------------
 
 def _solve_internal(cnf: CnfFormula, timeout: float) -> SatResult:
-    clauses = []
-    for clause in cnf.clauses:
-        lits = tuple(dict.fromkeys(clause))
-        if any(-l in lits for l in lits):
-            continue  # tautological clause
-        clauses.append(lits)
+    """Watched-literal DPLL; each clause's first two literals are watched.
 
-    n = cnf.n_vars
-    value: list[int] = [0] * (n + 1)  # 0 unknown, 1 true, -1 false
-
-    def lit_value(lit: int) -> int:
-        v = value[abs(lit)]
-        return v if lit > 0 else -v
-
-    # preprocessing: top-level units and pure literals, to fixpoint
-    active = list(range(len(clauses)))
-    while True:
-        changed = False
-        still_active = []
-        for idx in active:
-            if any(lit_value(l) == 1 for l in clauses[idx]):
-                continue
-            free = [l for l in clauses[idx] if lit_value(l) == 0]
-            if not free:
-                return SatResult(UNSAT)
-            if len(free) == 1:
-                value[abs(free[0])] = 1 if free[0] > 0 else -1
-                changed = True
-                continue
-            still_active.append(idx)
-        active = still_active
-        polarity: dict[int, int] = {}
-        for idx in active:
-            for l in clauses[idx]:
-                if value[abs(l)] != 0:
-                    continue
-                prev = polarity.get(abs(l))
-                cur = 1 if l > 0 else -1
-                polarity[abs(l)] = cur if prev in (None, cur) else 2
-        for var, pol in sorted(polarity.items()):
-            if pol in (1, -1) and value[var] == 0:
-                value[var] = pol
-                changed = True
-        if not changed:
-            break
-
-    remaining = [clauses[idx] for idx in active
-                 if not any(lit_value(l) == 1 for l in clauses[idx])]
-    status = _search(remaining, value, n, timeout)
-    if status != SAT:
-        return SatResult(status, diagnostics="" if status == UNSAT else "timeout")
-    assignment = {v: value[v] == 1 for v in range(1, n + 1)}
-    return SatResult(SAT, assignment)
-
-
-def _search(clauses: list[tuple[int, ...]], value: list[int], n: int,
-            timeout: float) -> str:
-    """Watched-literal DPLL over the preprocessed clauses, mutating value."""
+    ``value`` and ``watches`` are indexed by literal: a negative literal
+    indexes from the end of a list of length ``2n + 1``.
+    """
     deadline = time.monotonic() + timeout
-    watches: dict[int, list[int]] = {}
-    watched: list[list[int]] = []
-    pending: list[int] = []
-
-    def lit_value(lit: int) -> int:
-        v = value[abs(lit)]
-        return v if lit > 0 else -v
-
-    for idx, clause in enumerate(clauses):
-        free = [l for l in clause if lit_value(l) != -1]
-        if not free:
-            return UNSAT
-        if len(free) == 1:
-            watched.append([free[0], free[0]])
-            pending.append(free[0])
-            continue
-        watched.append([free[0], free[1]])
-        watches.setdefault(free[0], []).append(idx)
-        watches.setdefault(free[1], []).append(idx)
+    n = cnf.n_vars
+    value = [0] * (2 * n + 1)  # 0 unknown, 1 true, -1 false
+    watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+    units = []
+    for clause in cnf.clauses:
+        lits = set(clause)
+        if not lits.isdisjoint(map(neg, clause)):
+            continue  # tautological clause
+        clause = (list(clause) if len(lits) == len(clause)
+                  else list(dict.fromkeys(clause)))
+        if len(clause) == 1:
+            units.append(clause[0])
+        else:
+            watches[clause[0]].append(clause)
+            watches[clause[1]].append(clause)
 
     trail: list[int] = []
     decisions: list[tuple[int, int, bool]] = []  # (var, trail length, flipped)
+    n_decisions = n_conflicts = n_implied = 0
 
     def assign(lit: int) -> bool:
-        var = abs(lit)
-        want = 1 if lit > 0 else -1
-        if value[var] != 0:
-            return value[var] == want
-        value[var] = want
-        trail.append(var)
-        queue = [lit]
-        while queue:
-            falsified = -queue.pop()
-            for idx in list(watches.get(falsified, ())):
-                w = watched[idx]
-                other = w[1] if w[0] == falsified else w[0]
-                if lit_value(other) == 1:
+        """Set lit and propagate; on a conflict the trail is left to undo."""
+        nonlocal n_implied
+        if value[lit]:
+            return value[lit] == 1
+        value[lit], value[-lit] = 1, -1
+        head = len(trail)
+        trail.append(lit)
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            ws = watches[false_lit]
+            i = j = 0
+            end = len(ws)
+            while i < end:
+                clause = ws[i]
+                i += 1
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], false_lit
+                first = clause[0]
+                if value[first] == 1:
+                    ws[j] = clause
+                    j += 1
                     continue
-                moved = False
-                for l in clauses[idx]:
-                    if l == other or l == falsified:
-                        continue
-                    if lit_value(l) != -1:
-                        w[0], w[1] = other, l
-                        watches[falsified].remove(idx)
-                        watches.setdefault(l, []).append(idx)
-                        moved = True
+                for k in range(2, len(clause)):
+                    other = clause[k]
+                    if value[other] != -1:
+                        clause[1], clause[k] = other, false_lit
+                        watches[other].append(clause)
                         break
-                if moved:
-                    continue
-                ov = lit_value(other)
-                if ov == -1:
-                    return False
-                if ov == 0:
-                    var2 = abs(other)
-                    value[var2] = 1 if other > 0 else -1
-                    trail.append(var2)
-                    queue.append(other)
+                else:
+                    ws[j] = clause
+                    j += 1
+                    if value[first] == -1:
+                        del ws[j:i]
+                        return False
+                    value[first], value[-first] = 1, -1
+                    trail.append(first)
+                    n_implied += 1
+            del ws[j:]
         return True
 
-    def undo_to(length: int) -> None:
-        while len(trail) > length:
-            value[trail.pop()] = 0
+    def result(status: str) -> SatResult:
+        model = None
+        if status == SAT:
+            model = {v: value[v] == 1 for v in range(1, n + 1)}
+        return SatResult(status, model,
+                         diagnostics="timeout" if status == UNKNOWN else "",
+                         decisions=n_decisions, conflicts=n_conflicts,
+                         propagations=n_implied)
 
-    conflict = any(not assign(lit) for lit in list(pending))
-    if conflict:
-        return UNSAT
+    for lit in units:
+        fresh = not value[lit]
+        if not assign(lit):
+            n_conflicts += 1
+            return result(UNSAT)
+        n_implied += fresh
 
     next_var = 1
     while True:
-        while next_var <= n and value[next_var] != 0:
+        while next_var <= n and value[next_var]:
             next_var += 1
         if next_var > n:
-            return SAT
+            return result(SAT)
         if time.monotonic() > deadline:
-            return UNKNOWN
+            return result(UNKNOWN)
+        n_decisions += 1
         decisions.append((next_var, len(trail), False))
         ok = assign(next_var)
         while not ok:
+            n_conflicts += 1
             while decisions and decisions[-1][2]:
-                var, length, _ = decisions.pop()
-                undo_to(length)
+                decisions.pop()
             if not decisions:
-                return UNSAT
+                return result(UNSAT)
             var, length, _ = decisions.pop()
-            undo_to(length)
+            while len(trail) > length:
+                lit = trail.pop()
+                value[lit] = value[-lit] = 0
             decisions.append((var, length, True))
             ok = assign(-var)
-        next_var = 1
+            next_var = var  # every variable below a decision is assigned
 
 
 # --- external solver --------------------------------------------------------

@@ -1,7 +1,8 @@
 import random
 import stat
 import textwrap
-from itertools import product
+import time
+from itertools import combinations, product
 
 import pytest
 
@@ -21,6 +22,22 @@ def truth_table_status(formula: CnfFormula) -> str:
                for clause in formula.clauses):
             return SAT
     return UNSAT
+
+
+def pigeonhole(pigeons: int, holes: int) -> CnfFormula:
+    """PHP(pigeons, holes): unsatisfiable whenever pigeons > holes."""
+    def var(p, h):
+        return p * holes + h + 1
+    clauses = [tuple(var(p, h) for h in range(holes)) for p in range(pigeons)]
+    clauses += [(-var(p, h), -var(q, h)) for h in range(holes)
+                for p, q in combinations(range(pigeons), 2)]
+    return cnf(pigeons * holes, clauses)
+
+
+def assert_total_and_satisfying(formula: CnfFormula, assignment) -> None:
+    assert set(assignment) == set(range(1, formula.n_vars + 1))
+    for clause in formula.clauses:
+        assert any(assignment[abs(l)] == (l > 0) for l in clause)
 
 
 class TestInternal:
@@ -68,16 +85,77 @@ class TestInternal:
             formula = cnf(n, clauses)
             result = solve(formula, SolverConfig())
             if result.status == SAT:
-                assert set(result.assignment) == set(range(1, n + 1))
-                for clause in formula.clauses:
-                    assert any(result.assignment[abs(l)] == (l > 0)
-                               for l in clause)
+                assert_total_and_satisfying(formula, result.assignment)
+
+    def test_wide_clauses_match_truth_table(self):
+        # widths up to 6 make watches move; duplicate and complementary
+        # literals exercise clause normalisation
+        rng = random.Random(2024)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            clauses = []
+            for _ in range(rng.randint(1, 40)):
+                clause = [rng.choice([-1, 1]) * rng.randint(1, n)
+                          for _ in range(rng.randint(1, 6))]
+                if rng.random() < 0.2:
+                    clause.append(rng.choice(clause))
+                if rng.random() < 0.1:
+                    clause.append(-rng.choice(clause))
+                rng.shuffle(clause)
+                clauses.append(clause)
+            formula = cnf(n, clauses)
+            result = solve(formula, SolverConfig())
+            assert result.status == truth_table_status(formula)
+            if result.status == SAT:
+                assert_total_and_satisfying(formula, result.assignment)
+
+    def test_tautology_alone_is_sat(self):
+        result = solve(cnf(1, [(1, -1)]), SolverConfig())
+        assert result.status == SAT
+        assert set(result.assignment) == {1}
+
+    def test_duplicate_literal_clause_against_unit(self):
+        assert solve(cnf(2, [(2, 2), (-2,)]), SolverConfig()).status == UNSAT
+
+    def test_timeout_is_unknown(self):
+        start = time.monotonic()
+        result = solve(pigeonhole(9, 8), SolverConfig(timeout=0.2))
+        assert time.monotonic() - start < 2.0
+        assert result.status == UNKNOWN
+        assert "timeout" in result.diagnostics
 
     def test_result_invariant(self):
         with pytest.raises(ValueError):
             SatResult(SAT, None)
         with pytest.raises(ValueError):
             SatResult(UNSAT, {1: True})
+
+
+class TestCounters:
+    def test_unit_conflict_needs_no_decision(self):
+        result = solve(cnf(1, [(1,), (-1,)]), SolverConfig())
+        assert result.decisions == 0
+        assert result.conflicts == 1
+
+    def test_pigeonhole_has_conflicts(self):
+        result = solve(pigeonhole(5, 4), SolverConfig())
+        assert result.status == UNSAT
+        assert result.decisions > 0
+        assert result.conflicts > 0
+        assert result.propagations > 0
+
+    def test_units_count_as_propagations(self):
+        result = solve(cnf(3, [(1,), (-1, 2), (-2, 3)]), SolverConfig())
+        assert result.status == SAT
+        assert (result.decisions, result.conflicts) == (0, 0)
+        assert result.propagations == 3
+
+    def test_counts_are_deterministic(self):
+        formula = pigeonhole(5, 4)
+        first = solve(formula, SolverConfig())
+        second = solve(formula, SolverConfig())
+        assert (first.decisions, first.conflicts, first.propagations) == \
+            (second.decisions, second.conflicts, second.propagations)
 
 
 class TestOutputParsing:
@@ -146,6 +224,7 @@ class TestExternal:
             external = solve(formula, config)
             internal = solve(formula, SolverConfig())
             assert external.status == internal.status
+            assert external.decisions == external.conflicts == 0
             if external.status == SAT:
                 assert len(external.assignment) == n
 
