@@ -6,20 +6,19 @@ model back into an answer set.  Brute-force oracles are included for
 validation at desk scale.
 """
 
-from .program import (AtomSet, AtomTable, ParseError, Program, ProgramFlags,
-                      Rule, classify, gl_reduct, is_model, least_model,
-                      parse_program, pretty, remove_tautologies, satisfies)
+from .program import (AtomSet, AtomTable, ParseError, Program, Rule, gl_reduct,
+                      is_model, least_model, parse_program, pretty,
+                      remove_tautologies, satisfies)
 from .oracle import (brave_atoms, enumerate_answer_sets, naive_is_answer_set,
                      skeptical_atoms)
 from .backdoor import (Backdoor, HeadGraph, TruthAssignment, assignment_reduct,
                        assignments_over, delete_atoms, find_backdoor,
                        format_backdoor, head_dependency_graph, parse_backdoor,
                        vertex_cover_bounded, verify_strong_backdoor)
-from .mincheck import (AnswerSetCheck, MinCheckOutcome, RestrictedProgram,
-                       backdoor_subsets, is_answer_set, mincheck,
-                       restrict_program)
-from .formula import (CnfFormula, Formula, dimacs_text, emit_dimacs, evaluate,
-                      fold_constants, node_count, tseitin_cnf)
+from .mincheck import (AnswerSetCheck, MinCheckOutcome, backdoor_subsets,
+                       is_answer_set, mincheck, restrict_program)
+from .formula import (CnfFormula, Formula, emit_dimacs, evaluate, node_count,
+                      tseitin_cnf)
 from .encoding import (QuerySpec, VarTable, build_f_lm_block, build_f_min_block,
                        build_f_mod, build_query, decode_model, write_var_map)
 from .solver import (SAT, UNKNOWN, UNSAT, SatResult, SolverConfig, SolverError,

@@ -23,18 +23,12 @@ class HeadGraph:
     vertices: AtomSet
     edges: tuple[tuple[int, int], ...]  # sorted pairs u < v, deduplicated
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
 
 @dataclass(frozen=True)
 class Backdoor:
-    """A (claimed) backdoor with its kind and target class."""
+    """A verified strong backdoor to the class of normal programs."""
 
     atoms: AtomSet
-    kind: str = "strong"
-    target: str = "normal"
-    verified: bool = False
 
     @property
     def k(self) -> int:
@@ -196,7 +190,7 @@ def find_backdoor(program: Program, max_k: int | None = None) -> Backdoor | None
         if cover is not None:
             if not verify_strong_backdoor(program, cover):
                 raise AssertionError("vertex cover failed backdoor verification")
-            return Backdoor(cover, kind="strong", target="normal", verified=True)
+            return Backdoor(cover)
     return None
 
 

@@ -6,6 +6,7 @@ scripts: 10 = yes, 20 = no, 30 = unknown, 1 = error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Sequence
@@ -100,7 +101,7 @@ def _build(args, program: Program):
     x = _resolve_backdoor(program, args.backdoor)
     query = QuerySpec(args.mode, args.atom)
     formula, vt = build_query(program, x, query)
-    cnf = tseitin_cnf(formula, vt.n_reserved, vt.names())
+    cnf = tseitin_cnf(formula, vt.n_reserved)
     return x, vt, cnf
 
 
@@ -171,6 +172,20 @@ def _split_atoms(spec: str) -> list[str]:
     return [name for name in (part.strip() for part in spec.split(",")) if name]
 
 
+def _seconds(text: str) -> float:
+    value = float(text)
+    if 0 < value < math.inf:  # false for nan too
+        return value
+    raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+
+
+def _size(text: str) -> int:
+    value = int(text)
+    if value >= 0:
+        return value
+    raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bdnsat",
@@ -184,7 +199,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("backdoor", help="print a smallest backdoor, sorted")
     p.add_argument("file")
-    p.add_argument("--max-k", type=int, default=None,
+    p.add_argument("--max-k", type=_size, default=None,
                    help="largest backdoor size to try (default: atom count)")
     p.set_defaults(func=_cmd_backdoor)
 
@@ -217,7 +232,7 @@ def _make_parser() -> argparse.ArgumentParser:
             p.add_argument("--solver", default=None,
                            help="external SAT solver executable "
                                 f"(${SOLVER_ENV_VAR} takes precedence)")
-            p.add_argument("--timeout", type=float, default=60.0)
+            p.add_argument("--timeout", type=_seconds, default=60.0)
             p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("stats", help="backdoor-size report for several files")

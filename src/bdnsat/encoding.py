@@ -83,16 +83,15 @@ def build_f_mod(program: Program, vt: VarTable) -> Formula:
     return conj(parts)
 
 
-def build_f_lm_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
-                     vt: VarTable) -> Formula:
+def build_f_lm_block(restricted: Program, block: int, vt: VarTable) -> Formula:
     """Layered least-model simulation for one backdoor subset.
 
+    `restricted` is the program restricted to that subset (restrict_program).
     Layer 0 is all-false; layer j derives an atom if it was already derived
     or some restricted rule with that head fires, its positive body read at
     layer j-1 and its negative body checked against the v variables (the
     symbolic GL reduct).  After p layers the fixpoint is reached.
     """
-    restricted = restrict_program(program, x, xi).base
     deriving: dict[int, list] = {a: [] for a in range(vt.n_atoms)}
     for r in restricted.rules:
         if not r.head:
@@ -119,10 +118,10 @@ def build_f_min_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
     at layer p) breaks a restricted constraint, leaks out of M minus X,
     makes L union X_i improper in M, or breaks a rule of the reduct.
     """
-    restricted = restrict_program(program, x, xi).base
+    restricted = restrict_program(program, x, xi)
     up = lambda a: vt.u(block, vt.p, a)
     subset_premise = conj(vt.v(a) for a in xi)
-    f_lm = build_f_lm_block(program, x, xi, block, vt)
+    f_lm = build_f_lm_block(restricted, block, vt)
     f_a = disj(conj([neg(vt.v(b)) for b in r.neg_body]
                     + [up(b) for b in r.pos_body])
                for r in restricted.rules if not r.head)

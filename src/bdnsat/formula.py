@@ -3,7 +3,9 @@
 Variables are positive integers (DIMACS ids).  The raw node constructors
 never simplify; the lowercase builder functions fold constants so that
 compile-time facts (backdoor membership, empty conjunctions) disappear
-from the tree instead of becoming CNF variables.
+from the tree instead of becoming CNF variables.  Tseitin conversion does
+not fold again: a constant left below the root of a raw tree becomes one
+shared CNF variable fixed to true.
 """
 from __future__ import annotations
 
@@ -174,30 +176,12 @@ def node_count(formula: Formula) -> int:
     return count
 
 
-def fold_constants(formula: Formula) -> Formula:
-    """Rebuild the tree bottom-up through the folding constructors."""
-    if isinstance(formula, (Const, Var)):
-        return formula
-    if isinstance(formula, Not):
-        return neg(fold_constants(formula.child))
-    if isinstance(formula, And):
-        return conj(fold_constants(c) for c in formula.children)
-    if isinstance(formula, Or):
-        return disj(fold_constants(c) for c in formula.children)
-    if isinstance(formula, Imp):
-        return imp(fold_constants(formula.premise), fold_constants(formula.conclusion))
-    if isinstance(formula, Iff):
-        return iff(fold_constants(formula.left), fold_constants(formula.right))
-    raise TypeError(f"not a formula: {formula!r}")
-
-
 @dataclass
 class CnfFormula:
-    """Clause list over variables 1..n_vars with semantic names for some ids."""
+    """Clause list over variables 1..n_vars."""
 
     n_vars: int
     clauses: list[tuple[int, ...]]
-    names: dict[int, str]
 
     def __post_init__(self):
         for clause in self.clauses:
@@ -208,28 +192,29 @@ class CnfFormula:
                     raise ValueError(f"literal {lit} out of range")
 
 
-def tseitin_cnf(formula: Formula, n_reserved: int,
-                names: Mapping[int, str] | None = None) -> CnfFormula:
+def tseitin_cnf(formula: Formula, n_reserved: int) -> CnfFormula:
     """Equisatisfiable CNF with fresh labels for composite subformulas.
 
     Every model of the CNF restricted to the first n_reserved variables
     satisfies the formula, and every model of the formula extends to a CNF
-    model.  Constants are folded away first; labels are allocated bottom-up
-    left-to-right, so identical inputs give identical clause lists.
+    model.  A constant root gives no clauses (true) or one contradictory
+    pair (false).  A constant below the root, which the folding builders
+    never leave, maps to one shared label forced true by a unit clause.
+    Labels are allocated bottom-up left-to-right, so identical inputs give
+    identical clause lists.
     """
-    folded = fold_constants(formula)
     clauses: list[tuple[int, ...]] = []
-    label_names: dict[int, str] = dict(names) if names else {}
     next_aux = n_reserved + 1
+    true_lit = 0
 
     def fresh() -> int:
         nonlocal next_aux
         aux = next_aux
         next_aux += 1
-        label_names.setdefault(aux, f"t{aux}")
         return aux
 
     def lit_of(node: Formula) -> int:
+        nonlocal true_lit
         if isinstance(node, Var):
             return node.id
         if isinstance(node, Not):
@@ -265,17 +250,16 @@ def tseitin_cnf(formula: Formula, n_reserved: int,
             clauses.append((label, a, b))
             clauses.append((label, -a, -b))
             return label
+        if isinstance(node, Const):
+            if not true_lit:
+                true_lit = fresh()
+                clauses.append((true_lit,))
+            return true_lit if node.value else -true_lit
         raise TypeError(f"cannot label {node!r}")
 
-    if isinstance(folded, Const):
-        if not folded.value:
-            aux = fresh()
-            clauses.append((aux,))
-            clauses.append((-aux,))
-    else:
-        clauses.append((lit_of(folded),))
-    n_vars = next_aux - 1 if next_aux > n_reserved + 1 else n_reserved
-    return CnfFormula(n_vars, clauses, label_names)
+    if formula != TRUE:
+        clauses.append((lit_of(formula),))
+    return CnfFormula(next_aux - 1, clauses)
 
 
 def emit_dimacs(cnf: CnfFormula, out: IO[str]) -> None:
@@ -284,9 +268,3 @@ def emit_dimacs(cnf: CnfFormula, out: IO[str]) -> None:
     for clause in cnf.clauses:
         out.write(" ".join(map(str, clause)))
         out.write(" 0\n")
-
-
-def dimacs_text(cnf: CnfFormula) -> str:
-    lines = [f"p cnf {cnf.n_vars} {len(cnf.clauses)}"]
-    lines.extend(" ".join(map(str, clause)) + " 0" for clause in cnf.clauses)
-    return "\n".join(lines) + "\n"

@@ -10,20 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backdoor import verify_strong_backdoor
+from .backdoor import assignments_over, verify_strong_backdoor
 from .program import (AtomSet, Program, Rule, gl_reduct, is_model,
                       least_model, satisfies)
 
 SUBSET_ATOM_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class RestrictedProgram:
-    """Program with heads cleared of x and positive bodies cleared of x1."""
-
-    base: Program
-    x: AtomSet
-    x1: AtomSet
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,7 @@ class AnswerSetCheck:
         return None
 
 
-def restrict_program(program: Program, x: AtomSet, x1: AtomSet) -> RestrictedProgram:
+def restrict_program(program: Program, x: AtomSet, x1: AtomSet) -> Program:
     """Drop rules whose head meets x1; clear x from heads and x1 from positive bodies.
 
     Negative bodies are untouched.  Rules that end up completely empty are
@@ -74,7 +65,7 @@ def restrict_program(program: Program, x: AtomSet, x1: AtomSet) -> RestrictedPro
         if r.head.mask & x1.mask:
             continue
         rules.append(Rule(r.head - x, r.pos_body - x1, r.neg_body))
-    return RestrictedProgram(Program(program.table, rules), x, x1)
+    return Program(program.table, rules)
 
 
 def _subprocedure(reduct: Program, m: AtomSet, x: AtomSet,
@@ -83,7 +74,7 @@ def _subprocedure(reduct: Program, m: AtomSet, x: AtomSet,
     fired: list[str] = []
     if not x1.issubset(m):
         return MinCheckOutcome(True, ("1",))
-    restricted = restrict_program(reduct, x, x1).base
+    restricted = restrict_program(reduct, x, x1)
     if not restricted.horn:
         raise AssertionError("restricted reduct is not Horn; backdoor unverified?")
     lm = least_model(restricted)
@@ -118,15 +109,7 @@ def mincheck(program: Program, m: AtomSet, x: AtomSet,
 
 def backdoor_subsets(program: Program, x: AtomSet) -> tuple[AtomSet, ...]:
     """Subsets of x restricted to at(P), in binary-counter order over ascending ids."""
-    atoms = list(x & program.atoms)
-    subsets = []
-    for counter in range(1 << len(atoms)):
-        mask = 0
-        for j, atom in enumerate(atoms):
-            if counter >> j & 1:
-                mask |= 1 << atom
-        subsets.append(AtomSet(mask))
-    return tuple(subsets)
+    return tuple(tau.true_atoms for tau in assignments_over(x & program.atoms))
 
 
 def is_answer_set(program: Program, m: AtomSet, x: AtomSet,

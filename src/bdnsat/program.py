@@ -244,19 +244,6 @@ class Program:
         return self.table.names_of(atoms)
 
 
-class ProgramFlags(NamedTuple):
-    normal: bool
-    horn: bool
-    negation_free: bool
-    tight: bool
-
-
-def classify(program: Program) -> ProgramFlags:
-    """Recompute the class flags of a program from its rules."""
-    return ProgramFlags(program.normal, program.horn, program.negation_free,
-                        program.tight)
-
-
 # --- parsing ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -453,15 +440,6 @@ def gl_reduct(program: Program, m: AtomSet) -> Program:
     return Program(program.table, rules)
 
 
-def constraints(program: Program) -> tuple[Rule, ...]:
-    return tuple(r for r in program.rules if r.is_constraint)
-
-
-def definite_part(program: Program) -> tuple[Rule, ...]:
-    """The non-constraint rules (DH part) of a program."""
-    return tuple(r for r in program.rules if not r.is_constraint)
-
-
 def least_model(program: Program) -> AtomSet:
     """Least model of the non-constraint part of a Horn program.
 
@@ -471,7 +449,7 @@ def least_model(program: Program) -> AtomSet:
     """
     if not program.horn:
         raise ValueError("least_model requires a Horn program")
-    rules = definite_part(program)
+    rules = [r for r in program.rules if not r.is_constraint]
     counts = [len(r.pos_body) for r in rules]
     triggers: dict[int, list[int]] = {}
     for idx, r in enumerate(rules):

@@ -6,11 +6,13 @@ test is never its own oracle.
 """
 from __future__ import annotations
 
+import io
 import random
 from itertools import combinations
 
 from bdnsat import AtomSet, Program, parse_program
 from bdnsat.encoding import VarTable
+from bdnsat.formula import CnfFormula, emit_dimacs
 from bdnsat.mincheck import restrict_program
 
 P1_SOURCE = """\
@@ -29,6 +31,12 @@ ATOM_POOL = tuple("abcdefghijklmnop")
 
 def p1() -> Program:
     return parse_program(P1_SOURCE)
+
+
+def dimacs_text(cnf: CnfFormula) -> str:
+    out = io.StringIO()
+    emit_dimacs(cnf, out)
+    return out.getvalue()
 
 
 def random_program_source(rng: random.Random, max_atoms: int = 7,
@@ -175,7 +183,7 @@ def simulate_block_layers(program: Program, x: AtomSet, xi: AtomSet,
     Layer 0 is empty; layer j adds heads of restricted rules whose positive
     body lies in layer j-1 and whose negative body avoids m.
     """
-    restricted = restrict_program(program, x, xi).base
+    restricted = restrict_program(program, x, xi)
     layers = [0]
     for _ in range(p_layers):
         prev = layers[-1]

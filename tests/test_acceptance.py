@@ -105,11 +105,11 @@ def test_criterion_3_reduction_end_to_end(corpus):
             name = program.table.name_of(atom_id)
             queries += 2
             f, vt = build_query(program, x, QuerySpec("brave", name))
-            cnf = tseitin_cnf(f, vt.n_reserved, vt.names())
+            cnf = tseitin_cnf(f, vt.n_reserved)
             if (solve(cnf, SolverConfig()).status == SAT) != (atom_id in brave):
                 mismatches += 1
             f, vt = build_query(program, x, QuerySpec("skeptical", name))
-            cnf = tseitin_cnf(f, vt.n_reserved, vt.names())
+            cnf = tseitin_cnf(f, vt.n_reserved)
             if (solve(cnf, SolverConfig()).status == UNSAT) != \
                     (atom_id in skeptical):
                 mismatches += 1
@@ -180,7 +180,7 @@ def test_criterion_6_scaling_shape():
         assert backdoor.k == k
         f, vt = build_query(program, backdoor.atoms, QuerySpec("brave", "s"))
         nodes.append(node_count(f))
-        clauses.append(len(tseitin_cnf(f, vt.n_reserved, vt.names()).clauses))
+        clauses.append(len(tseitin_cnf(f, vt.n_reserved).clauses))
     blocks = [float(1 << k) for k in ks]
     linear_ok = True
     worst = 0.0

@@ -2,6 +2,7 @@ import pytest
 
 import support
 from bdnsat.cli import main
+from bdnsat.encoding import VarTable
 
 
 @pytest.fixture
@@ -55,6 +56,12 @@ class TestBackdoor:
         code, out, _ = run(capsys, "backdoor", p1_file, "--max-k", "2")
         assert code == 0
         assert out.strip() == "none within 2"
+
+    def test_negative_max_k_is_usage_error(self, capsys, p1_file):
+        code, out, err = run(capsys, "backdoor", p1_file, "--max-k", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--max-k" in err
 
 
 class TestCheck:
@@ -173,6 +180,24 @@ class TestSolve:
                            "--atom", "b")
         assert code == 30
         assert out.startswith("unknown")
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+    def test_bad_timeout_is_usage_error(self, capsys, p1_file, timeout):
+        code, out, err = run(capsys, "solve", p1_file, "--mode", "brave",
+                             "--atom", "b", "--timeout", timeout)
+        assert code == 1
+        assert out == ""
+        assert "--timeout" in err
+
+    def test_solve_builds_no_variable_names(self, capsys, p1_file,
+                                            monkeypatch):
+        def refuse(self):
+            raise AssertionError("variable names built without --map")
+        monkeypatch.setattr(VarTable, "names", refuse)
+        code, out, _ = run(capsys, "solve", p1_file, "--mode", "brave",
+                           "--atom", "b")
+        assert code == 10
+        assert out.startswith("yes")
 
 
 class TestSolveMatchesOracle:

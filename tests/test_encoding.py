@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 import support
 from bdnsat import (AtomSet, brave_atoms, find_backdoor, gl_reduct,
                     least_model, mincheck, parse_program, skeptical_atoms)
+from bdnsat import encoding
 from bdnsat.encoding import (QuerySpec, VarTable, build_f_lm_block,
                              build_f_min_block, build_f_mod, build_query,
                              decode_model, write_var_map)
-from bdnsat.formula import (And, Var, dimacs_text, evaluate, tseitin_cnf,
-                            variables)
+from bdnsat.formula import And, Var, evaluate, tseitin_cnf, variables
 from bdnsat.mincheck import backdoor_subsets, restrict_program
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
 import io
@@ -19,7 +19,7 @@ import io
 
 def solve_query(program, x, mode, atom):
     formula, vt = build_query(program, x, QuerySpec(mode, atom))
-    cnf = tseitin_cnf(formula, vt.n_reserved, vt.names())
+    cnf = tseitin_cnf(formula, vt.n_reserved)
     return solve(cnf, SolverConfig()), vt, cnf
 
 
@@ -95,7 +95,8 @@ class TestFLm:
         # no rule has a head, so every layer variable must stay false
         p = parse_program(":- a, b.")
         vt = VarTable(p, AtomSet(0))
-        f_lm = build_f_lm_block(p, AtomSet(0), AtomSet(0), 1, vt)
+        restricted = restrict_program(p, AtomSet(0), AtomSet(0))
+        f_lm = build_f_lm_block(restricted, 1, vt)
         for v_bits in product([False, True], repeat=2):
             assignment = {vt.v(a).id: v_bits[a] for a in range(2)}
             for layer in range(vt.p + 1):
@@ -111,7 +112,7 @@ class TestFLm:
         vt = VarTable(p1, x)
         m = p1.atom_set(["b", "c", "g"])
         assignment = support.block_assignment(p1, x, AtomSet(0), 1, vt, m)
-        f_lm = build_f_lm_block(p1, x, AtomSet(0), 1, vt)
+        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
         assert evaluate(f_lm, assignment)
         expected = p1.atom_set(["a", "g"])
         for a in range(vt.n_atoms):
@@ -122,7 +123,7 @@ class TestFLm:
         vt = VarTable(p1, x)
         m = p1.atom_set(["b", "c", "g"])
         assignment = support.block_assignment(p1, x, AtomSet(0), 1, vt, m)
-        f_lm = build_f_lm_block(p1, x, AtomSet(0), 1, vt)
+        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
         for var in sorted(variables(f_lm) - {vt.v(a).id for a in range(7)}):
             flipped = dict(assignment)
             flipped[var] = not flipped[var]
@@ -139,10 +140,10 @@ class TestFLm:
             m = AtomSet(rng.getrandbits(len(p.table)) & p.atoms.mask)
             for i, xi in enumerate(subsets, start=1):
                 assignment = support.block_assignment(p, x, xi, i, vt, m)
-                f_lm = build_f_lm_block(p, x, xi, i, vt)
+                f_lm = build_f_lm_block(restrict_program(p, x, xi), i, vt)
                 assert evaluate(f_lm, assignment)
                 reduct = gl_reduct(p, m)
-                expected = least_model(restrict_program(reduct, x, xi).base)
+                expected = least_model(restrict_program(reduct, x, xi))
                 got = AtomSet.of(a for a in range(vt.n_atoms)
                                  if assignment[vt.u(i, vt.p, a).id])
                 assert got == expected
@@ -150,11 +151,11 @@ class TestFLm:
     def test_functional_determination(self, p1):
         x = p1.atom_set(["b", "c", "h"])
         vt = VarTable(p1, x)
-        f_lm = build_f_lm_block(p1, x, AtomSet(0), 1, vt)
+        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
         m = p1.atom_set(["b", "c", "g"])
         units = [(vt.v(a).id if a in m else -vt.v(a).id,)
                  for a in range(vt.n_atoms)]
-        cnf = tseitin_cnf(f_lm, vt.n_reserved, vt.names())
+        cnf = tseitin_cnf(f_lm, vt.n_reserved)
         cnf.clauses.extend(units)
         first = solve(cnf, SolverConfig())
         assert first.status == SAT
@@ -227,6 +228,17 @@ class TestBuildQuery:
         _, vt, _ = solve_query(p1, x, "brave", "b")
         assert vt.n_blocks == 8
 
+    def test_restricts_once_per_block(self, p1, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return restrict_program(*args)
+        monkeypatch.setattr(encoding, "restrict_program", spy)
+        x = p1.atom_set(["b", "c", "h"])
+        _, vt = build_query(p1, x, QuerySpec("brave", "b"))
+        assert len(calls) == vt.n_blocks
+
     def test_unknown_atom_rejected(self, p1):
         with pytest.raises(ValueError):
             build_query(p1, p1.atom_set(["b", "c", "h"]), QuerySpec("brave", "zz"))
@@ -250,7 +262,7 @@ class TestBuildQuery:
         prop = Var(vt_probe.v(p1.table.id_of("g")).id)
         from bdnsat.formula import Not
         formula, vt = build_query(p1, x, QuerySpec("brave", "b", Not(prop)))
-        cnf = tseitin_cnf(formula, vt.n_reserved, vt.names())
+        cnf = tseitin_cnf(formula, vt.n_reserved)
         assert solve(cnf, SolverConfig()).status == UNSAT
 
     @settings(max_examples=40, deadline=None)
@@ -272,7 +284,7 @@ class TestBuildQuery:
         texts = []
         for _ in range(2):
             formula, vt = build_query(p1, x, QuerySpec("skeptical", "g"))
-            texts.append(dimacs_text(tseitin_cnf(formula, vt.n_reserved, vt.names())))
+            texts.append(support.dimacs_text(tseitin_cnf(formula, vt.n_reserved)))
         assert texts[0] == texts[1]
 
     def test_k_zero_single_block(self):
@@ -280,7 +292,7 @@ class TestBuildQuery:
         x = AtomSet(0)
         formula, vt = build_query(p, x, QuerySpec("brave", "a"))
         assert vt.n_blocks == 1
-        cnf = tseitin_cnf(formula, vt.n_reserved, vt.names())
+        cnf = tseitin_cnf(formula, vt.n_reserved)
         assert solve(cnf, SolverConfig()).status == SAT
 
 
@@ -310,7 +322,7 @@ class TestDecodeAndMap:
     def test_var_map_sidecar(self, p1):
         x = p1.atom_set(["b", "c", "h"])
         formula, vt = build_query(p1, x, QuerySpec("brave", "b"))
-        cnf = tseitin_cnf(formula, vt.n_reserved, vt.names())
+        cnf = tseitin_cnf(formula, vt.n_reserved)
         buffer = io.StringIO()
         write_var_map(vt, cnf, buffer)
         lines = buffer.getvalue().splitlines()

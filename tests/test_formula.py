@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdnsat.formula import (FALSE, TRUE, And, CnfFormula, Const, Iff, Imp,
-                            Not, Or, Var, conj, dimacs_text, disj, evaluate,
-                            fold_constants, iff, imp, neg, node_count,
-                            tseitin_cnf, variables)
+                            Not, Or, Var, conj, disj, evaluate, iff, imp, neg,
+                            node_count, tseitin_cnf, variables)
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
+from support import dimacs_text
 
 
 def random_formula(rng: random.Random, n_vars: int, depth: int):
@@ -65,16 +65,6 @@ class TestConstructors:
         with pytest.raises(ValueError):
             Or(())
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 100_000))
-    def test_fold_preserves_truth(self, seed):
-        rng = random.Random(seed)
-        f = random_formula(rng, 5, 4)
-        folded = fold_constants(f)
-        for bits in product([False, True], repeat=5):
-            assignment = dict(enumerate(bits, start=1))
-            assert evaluate(f, assignment) == evaluate(folded, assignment)
-
     def test_node_count(self):
         f = And((Var(1), Not(Var(2))))
         assert node_count(f) == 4
@@ -84,15 +74,15 @@ class TestConstructors:
 class TestCnfInvariants:
     def test_rejects_empty_clause(self):
         with pytest.raises(ValueError):
-            CnfFormula(1, [()], {})
+            CnfFormula(1, [()])
 
     def test_rejects_zero_literal(self):
         with pytest.raises(ValueError):
-            CnfFormula(1, [(0,)], {})
+            CnfFormula(1, [(0,)])
 
     def test_rejects_out_of_range_literal(self):
         with pytest.raises(ValueError):
-            CnfFormula(1, [(2,)], {})
+            CnfFormula(1, [(2,)])
 
 
 class TestTseitin:
@@ -112,6 +102,15 @@ class TestTseitin:
 
     def test_constant_false_unsat(self):
         cnf = tseitin_cnf(FALSE, 2)
+        assert solve(cnf, SolverConfig()).status == UNSAT
+
+    def test_constants_below_root_share_one_true_variable(self):
+        cnf = tseitin_cnf(And((Const(True), Not(Const(False)), Var(1))), 1)
+        assert cnf.n_vars == 3  # x1, the shared true variable, the And label
+        assert (2,) in cnf.clauses
+        assert solve(cnf, SolverConfig()).status == SAT
+        cnf = tseitin_cnf(Or((Const(False), Const(False))), 1)
+        assert cnf.n_vars == 3
         assert solve(cnf, SolverConfig()).status == UNSAT
 
     def test_deterministic_output(self):
@@ -150,8 +149,7 @@ class TestTseitin:
             # force the projection and check the CNF stays satisfiable
             forced = CnfFormula(cnf.n_vars,
                                 cnf.clauses + [((v if val else -v),)
-                                               for v, val in assignment.items()],
-                                cnf.names)
+                                               for v, val in assignment.items()])
             assert solve(forced, SolverConfig()).status == SAT
 
 

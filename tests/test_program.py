@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
-from bdnsat import (AtomSet, ParseError, classify, enumerate_answer_sets,
-                    gl_reduct, is_model, least_model, parse_program, pretty,
+from bdnsat import (AtomSet, ParseError, enumerate_answer_sets, gl_reduct,
+                    is_model, least_model, parse_program, pretty,
                     remove_tautologies, satisfies)
 from bdnsat.program import Program, Rule
 
@@ -118,13 +118,12 @@ class TestRuleClasses:
 
     def test_empty_program_flags(self):
         p = parse_program("")
-        assert classify(p) == (True, True, True, True)
+        assert p.normal and p.horn and p.negation_free and p.tight
 
     def test_p1_flags(self, p1):
-        flags = classify(p1)
-        assert not flags.normal
-        assert not flags.horn
-        assert not flags.negation_free
+        assert not p1.normal
+        assert not p1.horn
+        assert not p1.negation_free
 
     def test_p1_not_tight_matches_exhaustive_cycle_search(self, p1):
         assert support.positive_cycle_exists(p1)

@@ -12,7 +12,7 @@ from bdnsat.solver import (SAT, UNKNOWN, UNSAT, SatResult, SolverConfig,
 
 
 def cnf(n, clauses):
-    return CnfFormula(n, [tuple(c) for c in clauses], {})
+    return CnfFormula(n, [tuple(c) for c in clauses])
 
 
 def truth_table_status(formula: CnfFormula) -> str:
@@ -198,7 +198,7 @@ def stub_solver(tmp_path):
             lits = tuple(int(t) for t in parts if t != "0")
             if lits:
                 clauses.append(lits)
-        result = solve(CnfFormula(n, clauses, {}), SolverConfig())
+        result = solve(CnfFormula(n, clauses), SolverConfig())
         if result.status == SAT:
             print("s SATISFIABLE")
             lits = [v if result.assignment[v] else -v for v in range(1, n + 1)]
