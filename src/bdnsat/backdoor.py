@@ -13,8 +13,6 @@ from itertools import combinations
 
 from .program import AtomSet, Program, Rule
 
-VERIFY_DEBUG_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class HeadGraph:
@@ -150,27 +148,13 @@ def assignments_over(x: AtomSet):
         yield TruthAssignment(x, AtomSet(true_mask))
 
 
-def verify_strong_backdoor(program: Program, x: AtomSet,
-                           debug: bool = False) -> bool:
+def verify_strong_backdoor(program: Program, x: AtomSet) -> bool:
     """True iff x is a strong normality backdoor of the (tautology-free) program.
 
     Strong and deletion backdoors coincide for the normal target class, so
-    the check is whether P - X is normal.  Debug mode cross-checks all 2^|X|
-    truth-assignment reducts and insists they agree.
+    the check is whether P - X is normal.
     """
-    deletion_normal = delete_atoms(program, x).normal
-    if debug:
-        if len(x) > VERIFY_DEBUG_LIMIT:
-            raise ValueError(
-                f"debug verification over {len(x)} atoms exceeds the "
-                f"2^{VERIFY_DEBUG_LIMIT} reduct guard")
-        strong_normal = all(assignment_reduct(program, tau).normal
-                            for tau in assignments_over(x))
-        if strong_normal != deletion_normal:
-            raise AssertionError(
-                "strong/deletion disagreement; the input program must "
-                "contain a tautological rule")
-    return deletion_normal
+    return delete_atoms(program, x).normal
 
 
 def find_backdoor(program: Program, max_k: int | None = None) -> Backdoor | None:

@@ -6,7 +6,7 @@ scripts: 10 = yes, 20 = no, 30 = unknown, 1 = error.
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import os
 import sys
 from typing import Sequence
@@ -18,7 +18,7 @@ from .formula import emit_dimacs, tseitin_cnf
 from .mincheck import is_answer_set
 from .program import AtomSet, ParseError, Program, parse_program
 from .solver import (SAT, SOLVER_ENV_VAR, UNSAT, SolverConfig, SolverError,
-                     solve as solve_cnf)
+                     solve as solve_cnf, valid_timeout)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -123,11 +123,7 @@ def _cmd_solve(args) -> int:
     program = _load(args.file)
     x, vt, cnf = _build(args, program)
     executable = os.environ.get(SOLVER_ENV_VAR) or args.solver
-    if executable:
-        config = SolverConfig("external", executable, args.timeout)
-    else:
-        config = SolverConfig("internal", timeout=args.timeout)
-    result = solve_cnf(cnf, config)
+    result = solve_cnf(cnf, SolverConfig(executable, args.timeout))
     if result.status == SAT:
         m = decode_model(result.assignment, vt)
         check = is_answer_set(program, m, x, verify=False)
@@ -174,7 +170,7 @@ def _split_atoms(spec: str) -> list[str]:
 
 def _seconds(text: str) -> float:
     value = float(text)
-    if 0 < value < math.inf:  # false for nan too
+    if valid_timeout(value):
         return value
     raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
 
@@ -186,7 +182,9 @@ def _size(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
 
 
-def _make_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="bdnsat",
         description="Brave/skeptical reasoning for ground disjunctive "
@@ -243,7 +241,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _make_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 0 for --help passes through
         return EXIT_ERROR if exc.code else 0

@@ -17,8 +17,6 @@ from .formula import Formula, Var, conj, disj, iff, imp, neg, FALSE, CnfFormula
 from .mincheck import backdoor_subsets, restrict_program
 from .program import AtomSet, Program
 
-BLOCK_COUNT_GUARD = 20
-
 
 class VarTable:
     """Deterministic variable layout: v vars, then block-strided u vars, then labels.
@@ -32,7 +30,6 @@ class VarTable:
         self.program = program
         self.n_atoms = len(program.table)
         self.p = min(len(program.rules), len(program.table))
-        self.backdoor_atoms = backdoor_atoms
         self.n_blocks = 1 << len(backdoor_atoms)
         self.first_aux = (self.n_atoms
                           + self.n_blocks * (self.p + 1) * self.n_atoms + 1)
@@ -65,11 +62,10 @@ class VarTable:
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """A brave or skeptical membership query, with an optional extra property."""
+    """A brave or skeptical membership query."""
 
     mode: Literal["brave", "skeptical"]
     atom: str
-    prop: Formula | None = None
 
 
 def build_f_mod(program: Program, vt: VarTable) -> Formula:
@@ -145,32 +141,27 @@ def build_f_min_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
                  conj([f_lm, disj([f_a, f_b, f_c, f_d])])])
 
 
-def build_f_min(program: Program, x: AtomSet, vt: VarTable) -> Formula:
-    subsets = backdoor_subsets(program, x)
+def build_f_min(program: Program, x: AtomSet, subsets: tuple[AtomSet, ...],
+                vt: VarTable) -> Formula:
     return conj(build_f_min_block(program, x, xi, i + 1, vt)
                 for i, xi in enumerate(subsets))
 
 
 def build_query(program: Program, x: AtomSet,
                 query: QuerySpec) -> tuple[Formula, VarTable]:
-    """F_mod and all minimality blocks, plus the query literal and extra property."""
-    effective = x & program.atoms
-    if len(effective) > BLOCK_COUNT_GUARD:
-        raise ValueError(
-            f"backdoor has {len(effective)} program atoms, above the "
-            f"2^{BLOCK_COUNT_GUARD} block guard")
+    """F_mod and all minimality blocks, plus the query literal."""
+    subsets = backdoor_subsets(program, x)  # guards 2^k before any building
     if not verify_strong_backdoor(program, x):
         raise ValueError("x is not a strong normality backdoor")
     atom_id = program.table.id_of(query.atom)
     if atom_id not in program.atoms:
         raise ValueError(f"query atom {query.atom!r} does not occur in the program")
+    effective = x & program.atoms
     vt = VarTable(program, effective)
-    parts = [build_f_mod(program, vt), build_f_min(program, effective, vt)]
     query_var = vt.v(atom_id)
-    parts.append(query_var if query.mode == "brave" else neg(query_var))
-    if query.prop is not None:
-        parts.append(query.prop)
-    return conj(parts), vt
+    return conj([build_f_mod(program, vt),
+                 build_f_min(program, effective, subsets, vt),
+                 query_var if query.mode == "brave" else neg(query_var)]), vt
 
 
 def decode_model(assignment: dict[int, bool], vt: VarTable) -> AtomSet:

@@ -47,18 +47,12 @@ class Or:
 
 
 @dataclass(frozen=True)
-class Imp:
-    premise: "Formula"
-    conclusion: "Formula"
-
-
-@dataclass(frozen=True)
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-Formula = Union[Const, Var, Not, And, Or, Imp, Iff]
+Formula = Union[Const, Var, Not, And, Or, Iff]
 
 TRUE = Const(True)
 FALSE = Const(False)
@@ -105,11 +99,7 @@ def neg(child: Formula) -> Formula:
 
 
 def imp(premise: Formula, conclusion: Formula) -> Formula:
-    if isinstance(premise, Const):
-        return conclusion if premise.value else TRUE
-    if isinstance(conclusion, Const):
-        return TRUE if conclusion.value else neg(premise)
-    return Imp(premise, conclusion)
+    return disj([neg(premise), conclusion])
 
 
 def iff(left: Formula, right: Formula) -> Formula:
@@ -132,9 +122,6 @@ def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
         return all(evaluate(c, assignment) for c in formula.children)
     if isinstance(formula, Or):
         return any(evaluate(c, assignment) for c in formula.children)
-    if isinstance(formula, Imp):
-        return (not evaluate(formula.premise, assignment)
-                or evaluate(formula.conclusion, assignment))
     if isinstance(formula, Iff):
         return evaluate(formula.left, assignment) == evaluate(formula.right, assignment)
     raise TypeError(f"not a formula: {formula!r}")
@@ -151,9 +138,9 @@ def variables(formula: Formula) -> set[int]:
             stack.append(node.child)
         elif isinstance(node, (And, Or)):
             stack.extend(node.children)
-        elif isinstance(node, (Imp, Iff)):
-            stack.append(node.premise if isinstance(node, Imp) else node.left)
-            stack.append(node.conclusion if isinstance(node, Imp) else node.right)
+        elif isinstance(node, Iff):
+            stack.append(node.left)
+            stack.append(node.right)
     return out
 
 
@@ -167,9 +154,6 @@ def node_count(formula: Formula) -> int:
             stack.append(node.child)
         elif isinstance(node, (And, Or)):
             stack.extend(node.children)
-        elif isinstance(node, Imp):
-            stack.append(node.premise)
-            stack.append(node.conclusion)
         elif isinstance(node, Iff):
             stack.append(node.left)
             stack.append(node.right)
@@ -232,14 +216,6 @@ def tseitin_cnf(formula: Formula, n_reserved: int) -> CnfFormula:
             for l in lits:
                 clauses.append((label, -l))
             clauses.append(tuple([-label] + lits))
-            return label
-        if isinstance(node, Imp):
-            a = lit_of(node.premise)
-            b = lit_of(node.conclusion)
-            label = fresh()
-            clauses.append((-label, -a, b))
-            clauses.append((label, a))
-            clauses.append((label, -b))
             return label
         if isinstance(node, Iff):
             a = lit_of(node.left)

@@ -108,8 +108,16 @@ def mincheck(program: Program, m: AtomSet, x: AtomSet,
 
 
 def backdoor_subsets(program: Program, x: AtomSet) -> tuple[AtomSet, ...]:
-    """Subsets of x restricted to at(P), in binary-counter order over ascending ids."""
-    return tuple(tau.true_atoms for tau in assignments_over(x & program.atoms))
+    """Subsets of x restricted to at(P), in binary-counter order over ascending ids.
+
+    More than SUBSET_ATOM_LIMIT program atoms in x raise ValueError.
+    """
+    effective = x & program.atoms
+    if len(effective) > SUBSET_ATOM_LIMIT:
+        raise ValueError(
+            f"backdoor has {len(effective)} program atoms, above the "
+            f"2^{SUBSET_ATOM_LIMIT} subset guard")
+    return tuple(tau.true_atoms for tau in assignments_over(effective))
 
 
 def is_answer_set(program: Program, m: AtomSet, x: AtomSet,
@@ -121,14 +129,10 @@ def is_answer_set(program: Program, m: AtomSet, x: AtomSet,
     reported per subset in enumeration order, so the smallest failing
     subset index is reproducible regardless of evaluation strategy.
     """
-    if len(x & program.atoms) > SUBSET_ATOM_LIMIT:
-        raise ValueError(
-            f"backdoor has {len(x & program.atoms)} program atoms, above "
-            f"the 2^{SUBSET_ATOM_LIMIT} subset guard")
+    subsets = backdoor_subsets(program, x)
     if verify and not verify_strong_backdoor(program, x):
         raise ValueError("x is not a strong normality backdoor")
     reduct = gl_reduct(program, m)
-    subsets = backdoor_subsets(program, x)
     if not is_model(m, reduct):
         return AnswerSetCheck(False, False, subsets, ())
     outcomes = tuple(_subprocedure(reduct, m, x, x1) for x1 in subsets)

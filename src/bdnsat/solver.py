@@ -10,12 +10,13 @@ format.
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import neg
 
 from .formula import CnfFormula, emit_dimacs
@@ -36,8 +37,6 @@ class SolverError(RuntimeError):
 class SatResult:
     status: str
     assignment: dict[int, bool] | None = None
-    wall_time: float = 0.0
-    solver: str = "internal"
     diagnostics: str = ""
     decisions: int = 0
     conflicts: int = 0
@@ -48,37 +47,37 @@ class SatResult:
             raise ValueError("assignment present iff status is SAT")
 
 
+def valid_timeout(seconds: float) -> bool:
+    return 0 < seconds < math.inf  # false for nan too
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    mode: str = "internal"  # "internal" | "external"
+    """Solve with ``executable`` when it is set, else with the internal DPLL."""
+
     executable: str | None = None
     timeout: float = DEFAULT_TIMEOUT
 
+    def __post_init__(self):
+        if not valid_timeout(self.timeout):
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout!r}")
+
     @classmethod
     def from_environment(cls) -> "SolverConfig":
-        exe = os.environ.get(SOLVER_ENV_VAR)
-        if exe:
-            return cls(mode="external", executable=exe)
-        return cls()
+        return cls(os.environ.get(SOLVER_ENV_VAR))
 
 
 def solve(cnf: CnfFormula, config: SolverConfig | None = None) -> SatResult:
-    """Dispatch to the configured solver and verify any model returned."""
+    """Run the configured solver and verify any model returned."""
     if config is None:
         config = SolverConfig.from_environment()
-    start = time.monotonic()
-    if config.mode == "external":
-        if not config.executable:
-            raise SolverError("external mode needs an executable path")
+    if config.executable:
         result = _solve_external(cnf, config)
-    elif config.mode == "internal":
-        result = _solve_internal(cnf, config.timeout)
     else:
-        raise SolverError(f"unknown solver mode {config.mode!r}")
-    elapsed = time.monotonic() - start
+        result = _solve_internal(cnf, config.timeout)
     if result.status == SAT:
         _check_model(cnf, result.assignment)
-    return replace(result, wall_time=elapsed)
+    return result
 
 
 def _check_model(cnf: CnfFormula, assignment: dict[int, bool]) -> None:
@@ -239,11 +238,9 @@ def _solve_external(cnf: CnfFormula, config: SolverConfig) -> SatResult:
                                   capture_output=True, text=True,
                                   timeout=config.timeout)
         except subprocess.TimeoutExpired:
-            return SatResult(UNKNOWN, solver=config.executable,
-                             diagnostics=f"timeout after {config.timeout}s")
+            return SatResult(UNKNOWN, diagnostics=f"timeout after {config.timeout}s")
         except OSError as exc:
-            return SatResult(UNKNOWN, solver=config.executable,
-                             diagnostics=f"process failure: {exc}")
+            return SatResult(UNKNOWN, diagnostics=f"process failure: {exc}")
         status, assignment = parse_solver_output(proc.stdout, cnf.n_vars)
         if status == UNKNOWN:
             # SAT-competition exit codes are also accepted as signals
@@ -253,9 +250,9 @@ def _solve_external(cnf: CnfFormula, config: SolverConfig) -> SatResult:
                 raise SolverError(
                     "solver signalled SAT via exit code but printed no model")
             else:
-                return SatResult(UNKNOWN, solver=config.executable,
+                return SatResult(UNKNOWN,
                                  diagnostics=_trim(proc.stdout + proc.stderr))
-        return SatResult(status, assignment, solver=config.executable)
+        return SatResult(status, assignment)
     finally:
         os.unlink(path)
 

@@ -18,7 +18,7 @@ from bdnsat import (AtomSet, TruthAssignment, assignment_reduct,
                     skeptical_atoms)
 from bdnsat.encoding import QuerySpec, build_query
 from bdnsat.formula import evaluate, node_count, tseitin_cnf
-from bdnsat.formula import Var, Not, And, Or, Iff, Imp, Const
+from bdnsat.formula import Var, Not, And, Or, Iff, Const
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
 
 CORPUS_SEED = 2013
@@ -225,8 +225,8 @@ def test_criterion_7_tseitin_equisatisfiability():
         if kind == "not":
             return Not(random_formula(depth - 1, n_vars))
         if kind == "imp":
-            return Imp(random_formula(depth - 1, n_vars),
-                       random_formula(depth - 1, n_vars))
+            return Or((Not(random_formula(depth - 1, n_vars)),
+                       random_formula(depth - 1, n_vars)))
         if kind == "iff":
             return Iff(random_formula(depth - 1, n_vars),
                        random_formula(depth - 1, n_vars))

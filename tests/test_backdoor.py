@@ -146,19 +146,14 @@ class TestAssignmentReduct:
 
 class TestVerify:
     def test_p1_known_backdoor(self, p1):
-        assert verify_strong_backdoor(p1, p1.atom_set(["b", "c", "h"]), debug=True)
+        assert verify_strong_backdoor(p1, p1.atom_set(["b", "c", "h"]))
 
     def test_p1_empty_is_not_backdoor(self, p1):
         assert not verify_strong_backdoor(p1, AtomSet(0))
 
     def test_normal_program_empty_backdoor(self):
         p = parse_program("a :- b, not c. :- d.")
-        assert verify_strong_backdoor(p, AtomSet(0), debug=True)
-
-    def test_debug_guard(self, p1):
-        big = AtomSet.of(range(21))
-        with pytest.raises(ValueError):
-            verify_strong_backdoor(p1, big, debug=True)
+        assert verify_strong_backdoor(p, AtomSet(0))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 100_000))

@@ -1,6 +1,9 @@
+import argparse
+
 import pytest
 
 import support
+from bdnsat import cli
 from bdnsat.cli import main
 from bdnsat.encoding import VarTable
 
@@ -44,6 +47,34 @@ class TestParse:
                            "--atom", "b")
         assert code == 1
         assert "bold" in err
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, capsys, p1_file, monkeypatch):
+        cli._parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, out, _ = run(capsys, "solve", p1_file, "--mode", "brave",
+                           "--atom", "b")
+        assert code == 10
+        n_built = len(built)
+        assert n_built > 0
+        code, out, _ = run(capsys, "backdoor", p1_file)
+        assert code == 0
+        assert out.splitlines() == ["a", "c", "h"]
+        assert len(built) == n_built
+
+    def test_no_stale_attributes(self, p1_file):
+        cli._parser().parse_args(["solve", p1_file, "--mode", "brave",
+                                  "--atom", "b"])
+        args = cli._parser().parse_args(["backdoor", p1_file])
+        assert not hasattr(args, "atom")
+        assert args.func is cli._cmd_backdoor
 
 
 class TestBackdoor:

@@ -11,7 +11,7 @@ from bdnsat import encoding
 from bdnsat.encoding import (QuerySpec, VarTable, build_f_lm_block,
                              build_f_min_block, build_f_mod, build_query,
                              decode_model, write_var_map)
-from bdnsat.formula import And, Var, evaluate, tseitin_cnf, variables
+from bdnsat.formula import And, evaluate, tseitin_cnf, variables
 from bdnsat.mincheck import backdoor_subsets, restrict_program
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
 import io
@@ -254,16 +254,6 @@ class TestBuildQuery:
         assert len(x) == 21
         with pytest.raises(ValueError):
             build_query(p, x, QuerySpec("brave", "a0"))
-
-    def test_extra_property_conjunct(self, p1):
-        # require an answer set containing b but not g: none exists
-        x = p1.atom_set(["b", "c", "h"])
-        vt_probe = VarTable(p1, x)
-        prop = Var(vt_probe.v(p1.table.id_of("g")).id)
-        from bdnsat.formula import Not
-        formula, vt = build_query(p1, x, QuerySpec("brave", "b", Not(prop)))
-        cnf = tseitin_cnf(formula, vt.n_reserved)
-        assert solve(cnf, SolverConfig()).status == UNSAT
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 100_000))

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdnsat.formula import (FALSE, TRUE, And, CnfFormula, Const, Iff, Imp,
-                            Not, Or, Var, conj, disj, evaluate, iff, imp, neg,
+from bdnsat.formula import (FALSE, TRUE, And, CnfFormula, Const, Iff, Not,
+                            Or, Var, conj, disj, evaluate, iff, imp, neg,
                             node_count, tseitin_cnf, variables)
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
 from support import dimacs_text
@@ -22,7 +22,7 @@ def random_formula(rng: random.Random, n_vars: int, depth: int):
     if kind == "not":
         return Not(sub())
     if kind == "imp":
-        return Imp(sub(), sub())
+        return Or((Not(sub()), sub()))
     if kind == "iff":
         return Iff(sub(), sub())
     children = tuple(sub() for _ in range(rng.randint(1, 4)))
@@ -59,6 +59,15 @@ class TestConstructors:
         assert iff(Var(1), TRUE) == Var(1)
         assert iff(FALSE, Var(1)) == Not(Var(1))
 
+    def test_imp_truth_table(self):
+        for p, c in [(Var(1), Var(2)), (Not(Var(1)), Var(2)),
+                     (And((Var(1), Var(2))), Or((Var(2), Not(Var(1)))))]:
+            f = imp(p, c)
+            for bits in product([False, True], repeat=2):
+                assignment = dict(enumerate(bits, start=1))
+                assert evaluate(f, assignment) == (
+                    not evaluate(p, assignment) or evaluate(c, assignment))
+
     def test_nary_nodes_require_children(self):
         with pytest.raises(ValueError):
             And(())
@@ -90,6 +99,11 @@ class TestTseitin:
         cnf = tseitin_cnf(Var(3), 3)
         assert cnf.clauses == [(3,)]
         assert cnf.n_vars == 3
+
+    def test_implication_gate(self):
+        cnf = tseitin_cnf(imp(Var(1), Var(2)), 2)
+        assert cnf.n_vars == 3
+        assert set(cnf.clauses) == {(3, 1), (3, -2), (-3, -1, 2), (3,)}
 
     def test_contradiction_unsat(self):
         cnf = tseitin_cnf(And((Var(1), Not(Var(1)))), 1)

@@ -131,6 +131,14 @@ class TestInternal:
             SatResult(UNSAT, {1: True})
 
 
+class TestConfig:
+    @pytest.mark.parametrize("executable", [None, "/bin/true"])
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0, -1])
+    def test_bad_timeout_rejected(self, executable, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            SolverConfig(executable, timeout)
+
+
 class TestCounters:
     def test_unit_conflict_needs_no_decision(self):
         result = solve(cnf(1, [(1,), (-1,)]), SolverConfig())
@@ -214,7 +222,7 @@ def stub_solver(tmp_path):
 class TestExternal:
     def test_agrees_with_internal(self, stub_solver):
         rng = random.Random(7)
-        config = SolverConfig("external", stub_solver, timeout=30)
+        config = SolverConfig(stub_solver, timeout=30)
         for _ in range(25):
             n = rng.randint(1, 6)
             clauses = [tuple({rng.choice([-1, 1]) * rng.randint(1, n)
@@ -228,26 +236,33 @@ class TestExternal:
             if external.status == SAT:
                 assert len(external.assignment) == n
 
+    def test_executable_selects_external(self, tmp_path):
+        exe = _write_script(tmp_path, "says_unsat",
+                            'echo "s UNSATISFIABLE"\n')
+        formula = cnf(1, [(1,)])
+        assert solve(formula, SolverConfig(exe)).status == UNSAT
+        assert solve(formula, SolverConfig()).status == SAT
+
     def test_exit_code_20_without_status_line(self, tmp_path):
         exe = _write_script(tmp_path, "quiet20", "exit 20\n")
-        result = solve(cnf(1, [(1,), (-1,)]), SolverConfig("external", exe))
+        result = solve(cnf(1, [(1,), (-1,)]), SolverConfig(exe))
         assert result.status == UNSAT
 
     def test_missing_executable_is_unknown(self, tmp_path):
         result = solve(cnf(1, [(1,)]),
-                       SolverConfig("external", str(tmp_path / "nope")))
+                       SolverConfig(str(tmp_path / "nope")))
         assert result.status == UNKNOWN
         assert "process failure" in result.diagnostics
 
     def test_garbage_output_is_unknown(self, tmp_path):
         exe = _write_script(tmp_path, "garbage", "echo hello\nexit 0\n")
-        result = solve(cnf(1, [(1,)]), SolverConfig("external", exe))
+        result = solve(cnf(1, [(1,)]), SolverConfig(exe))
         assert result.status == UNKNOWN
 
     def test_timeout_is_unknown(self, tmp_path):
         exe = _write_script(tmp_path, "sleepy", "sleep 5\n")
         result = solve(cnf(1, [(1,)]),
-                       SolverConfig("external", exe, timeout=0.2))
+                       SolverConfig(exe, timeout=0.2))
         assert result.status == UNKNOWN
         assert "timeout" in result.diagnostics
 
@@ -255,12 +270,11 @@ class TestExternal:
         exe = _write_script(tmp_path, "liar",
                             'echo "s SATISFIABLE"\necho "v 1 0"\nexit 10\n')
         with pytest.raises(SolverError):
-            solve(cnf(1, [(-1,)]), SolverConfig("external", exe))
+            solve(cnf(1, [(-1,)]), SolverConfig(exe))
 
     def test_from_environment(self, monkeypatch, stub_solver):
         monkeypatch.setenv("BDNSAT_SOLVER", stub_solver)
         config = SolverConfig.from_environment()
-        assert config.mode == "external"
         assert config.executable == stub_solver
         monkeypatch.delenv("BDNSAT_SOLVER")
-        assert SolverConfig.from_environment().mode == "internal"
+        assert SolverConfig.from_environment().executable is None
