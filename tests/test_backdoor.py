@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -79,6 +80,102 @@ class TestVertexCover:
         else:
             assert len(cover) <= k
             assert all(u in cover or v in cover for u, v in edges)
+
+
+def heads_program(heads, seed=0):
+    """Facts with the given disjunctive heads, in a seeded shuffled order."""
+    rng = random.Random(seed)
+    heads = [rng.sample(head, len(head)) for head in heads]
+    rng.shuffle(heads)
+    return parse_program("".join(" | ".join(head) + ".\n" for head in heads))
+
+
+def pairs(n, tag="m"):
+    return [(f"{tag}{i}a", f"{tag}{i}b") for i in range(n)]
+
+
+def path(n, tag="p"):
+    return [(f"{tag}{i}", f"{tag}{i + 1}") for i in range(n - 1)]
+
+
+def cycle(n, tag="c"):
+    return [(f"{tag}{i}", f"{tag}{(i + 1) % n}") for i in range(n)]
+
+
+def star(leaves, tag="s"):
+    return [(f"{tag}hub", f"{tag}{i}") for i in range(leaves)]
+
+
+def clique(n, tag="k"):
+    return [tuple(f"{tag}{i}" for i in range(n))]
+
+
+def triangles(n, tag="t"):
+    return [(f"{tag}{i}a", f"{tag}{i}b", f"{tag}{i}c") for i in range(n)]
+
+
+# heads and the closed-form minimum vertex cover of their head graph
+CLOSED_FORMS = {
+    "200 pairs": (pairs(200), 200),
+    "path 41": (path(41), 41 // 2),
+    "path 2001": (path(2001), 2001 // 2),
+    "cycle 2000": (cycle(2000), 1000),
+    "cycle 2001": (cycle(2001), 1001),
+    "star 60": (star(60), 1),
+    "clique 14": (clique(14), 13),
+    "30 triangles": (triangles(30), 60),
+}
+CLOSED_FORMS["all of them"] = (
+    [head for i, (heads, _) in enumerate(CLOSED_FORMS.values())
+     for head in [tuple(f"g{i}_{a}" for a in h) for h in heads]],
+    sum(size for _, size in CLOSED_FORMS.values()))
+
+
+class TestClosedFormDetection:
+    @pytest.mark.parametrize("name", list(CLOSED_FORMS))
+    def test_minimum_size_fast(self, name):
+        heads, size = CLOSED_FORMS[name]
+        p = heads_program(heads)
+        start = time.perf_counter()
+        backdoor = find_backdoor(p)
+        elapsed = time.perf_counter() - start
+        assert backdoor.k == size
+        assert verify_strong_backdoor(p, backdoor.atoms)
+        assert elapsed < 2.0
+
+
+class TestDisconnectedDifferential:
+    @staticmethod
+    def random_disconnected_program(rng):
+        """2-4 connected components on at most 14 vertices, ids interleaved."""
+        sizes = [2] * rng.randint(2, 4)
+        for _ in range(rng.randint(0, 14 - len(sizes) * 2)):
+            sizes[rng.randrange(len(sizes))] += 1
+        names = [f"x{i}" for i in range(sum(sizes))]
+        rng.shuffle(names)
+        heads, start = [], 0
+        for size in sizes:
+            group = names[start:start + size]
+            start += size
+            tree = {(group[rng.randrange(i)], group[i]) for i in range(1, size)}
+            extra = [e for e in combinations(group, 2)
+                     if e not in tree and e[::-1] not in tree]
+            heads += sorted(tree) + rng.sample(extra, rng.randint(0, len(extra)))
+        return heads_program(heads, rng.randrange(1 << 30))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_matches_exhaustive_minimum(self, seed):
+        p = self.random_disconnected_program(random.Random(seed))
+        graph = head_dependency_graph(p)
+        minimum = support.exhaustive_min_vertex_cover(graph.edges)
+        assert find_backdoor(p).k == minimum
+        for k in range(minimum - 2, minimum + 2):
+            cover = vertex_cover_bounded(graph, k)
+            assert (cover is None) == (k < minimum)
+            if cover is not None:
+                assert len(cover) <= k
+                assert all(u in cover or v in cover for u, v in graph.edges)
 
 
 class TestDeleteAtoms:
@@ -166,6 +263,7 @@ class TestVerify:
         strong = all(assignment_reduct(p, tau).normal
                      for tau in assignments_over(x))
         assert strong == delete_atoms(p, x).normal
+        assert verify_strong_backdoor(p, x) == strong
 
 
 class TestFindBackdoor:

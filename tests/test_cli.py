@@ -1,4 +1,5 @@
 import argparse
+import time
 
 import pytest
 
@@ -87,6 +88,16 @@ class TestBackdoor:
         code, out, _ = run(capsys, "backdoor", p1_file, "--max-k", "2")
         assert code == 0
         assert out.strip() == "none within 2"
+
+    def test_budget_fails_fast(self, capsys, tmp_path):
+        # the bounds of 200 disjoint pairs sum to 200, so no search is needed
+        path = tmp_path / "pairs.lp"
+        path.write_text("".join(f"a{i} | b{i}.\n" for i in range(200)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "backdoor", str(path), "--max-k", "5")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert out.strip() == "none within 5"
 
     def test_negative_max_k_is_usage_error(self, capsys, p1_file):
         code, out, err = run(capsys, "backdoor", p1_file, "--max-k", "-1")
@@ -211,6 +222,18 @@ class TestSolve:
                            "--atom", "b")
         assert code == 30
         assert out.startswith("unknown")
+
+    def test_subset_guard_fails_fast(self, capsys, tmp_path):
+        # detection of the 25-atom backdoor must not delay the 2^20 guard
+        path = tmp_path / "pairs.lp"
+        path.write_text("".join(f"a{i} | b{i}.\n" for i in range(25)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", str(path), "--mode", "brave",
+                             "--atom", "a0")
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert out == ""
+        assert "2^20 subset guard" in err
 
     @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
     def test_bad_timeout_is_usage_error(self, capsys, p1_file, timeout):
