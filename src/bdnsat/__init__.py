@@ -7,13 +7,12 @@ validation at desk scale.
 """
 
 from .program import (AtomSet, AtomTable, ParseError, Program, Rule, gl_reduct,
-                      is_model, least_model, parse_program, pretty,
-                      remove_tautologies, satisfies)
+                      is_model, least_model, parse_program, positive_sccs,
+                      satisfies)
 from .oracle import (brave_atoms, enumerate_answer_sets, naive_is_answer_set,
                      skeptical_atoms)
-from .backdoor import (Backdoor, HeadGraph, TruthAssignment, assignment_reduct,
-                       assignments_over, delete_atoms, find_backdoor,
-                       format_backdoor, head_dependency_graph, parse_backdoor,
+from .backdoor import (Backdoor, HeadGraph, find_backdoor, format_backdoor,
+                       head_dependency_graph, parse_backdoor,
                        vertex_cover_bounded, verify_strong_backdoor)
 from .mincheck import (AnswerSetCheck, MinCheckOutcome, backdoor_subsets,
                        is_answer_set, mincheck, restrict_program)

@@ -1,4 +1,4 @@
-"""Normality backdoors: detection via vertex cover, reducts, verification.
+"""Normality backdoors: detection via vertex cover, verification, serialization.
 
 A set X of atoms is a strong backdoor to the class of normal programs iff
 every truth-assignment reduct of the program under an assignment to X is
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .program import AtomSet, Program, Rule
+from .program import AtomSet, Program
 
 
 @dataclass(frozen=True)
@@ -33,33 +33,11 @@ class Backdoor:
         return len(self.atoms)
 
 
-@dataclass(frozen=True)
-class TruthAssignment:
-    """Total 0/1 assignment on a domain of atoms; negation is derived."""
-
-    domain: AtomSet
-    true_atoms: AtomSet
-
-    def __post_init__(self):
-        if not self.true_atoms.issubset(self.domain):
-            raise ValueError("true_atoms must lie within the domain")
-
-    @property
-    def false_atoms(self) -> AtomSet:
-        return self.domain - self.true_atoms
-
-    def value(self, atom_id: int) -> bool:
-        if atom_id not in self.domain:
-            raise ValueError(f"atom {atom_id} outside assignment domain")
-        return atom_id in self.true_atoms
-
-
 def head_dependency_graph(program: Program) -> HeadGraph:
-    """Edges between distinct atoms co-occurring in a non-tautological rule head."""
+    """Edges between distinct atoms co-occurring in a rule head.  The program
+    must be tautology-free, which find_backdoor checks once per detection."""
     edges = set()
     for rule in program.rules:
-        if rule.is_tautological:
-            continue
         for u, v in combinations(rule.head, 2):
             edges.add((u, v))
     return HeadGraph(program.atoms, tuple(sorted(edges)))
@@ -159,49 +137,6 @@ def vertex_cover_bounded(graph: HeadGraph, k: int) -> AtomSet | None:
         _take(adj, vertex)
         stack.append((adj, budget - 1, chosen | 1 << vertex))
     return None
-
-
-def delete_atoms(program: Program, x: AtomSet) -> Program:
-    """P - X: remove the atoms of x (and their negations) from every rule.
-
-    No rule is dropped; rules may become empty, which keeps P - X
-    unsatisfiable as a constraint set when a fact loses its whole head.
-    """
-    rules = [Rule(r.head - x, r.pos_body - x, r.neg_body - x)
-             for r in program.rules]
-    return Program(program.table, rules)
-
-
-def assignment_reduct(program: Program, tau: TruthAssignment) -> Program:
-    """Truth-assignment reduct: drop rules fixed by tau, strip domain literals.
-
-    A rule goes if (i) its head meets the true atoms, (ii) its head lies
-    inside the domain, (iii) its positive body meets the false atoms, or
-    (iv) its negative body meets the true atoms.
-    """
-    x = tau.domain
-    true_mask = tau.true_atoms.mask
-    false_mask = tau.false_atoms.mask
-    rules = []
-    for r in program.rules:
-        if (r.head.mask & true_mask
-                or r.head.issubset(x)
-                or r.pos_body.mask & false_mask
-                or r.neg_body.mask & true_mask):
-            continue
-        rules.append(Rule(r.head - x, r.pos_body - x, r.neg_body - x))
-    return Program(program.table, rules)
-
-
-def assignments_over(x: AtomSet):
-    """All truth assignments on x, in binary-counter order over ascending ids."""
-    atoms = list(x)
-    for counter in range(1 << len(atoms)):
-        true_mask = 0
-        for j, atom in enumerate(atoms):
-            if counter >> j & 1:
-                true_mask |= 1 << atom
-        yield TruthAssignment(x, AtomSet(true_mask))
 
 
 def verify_strong_backdoor(program: Program, x: AtomSet) -> bool:

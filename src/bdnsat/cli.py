@@ -12,7 +12,7 @@ import sys
 from typing import Sequence
 
 from . import oracle
-from .backdoor import find_backdoor, parse_backdoor
+from .backdoor import find_backdoor, format_backdoor, parse_backdoor
 from .encoding import QuerySpec, build_query, decode_model, write_var_map
 from .formula import emit_dimacs, tseitin_cnf
 from .mincheck import is_answer_set
@@ -64,8 +64,7 @@ def _cmd_backdoor(args) -> int:
     if backdoor is None:
         print(f"none within {args.max_k}")
         return EXIT_OK
-    for name in sorted(program.atom_names(backdoor.atoms)):
-        print(name)
+    print(format_backdoor(program, backdoor.atoms), end="")
     return EXIT_OK
 
 
@@ -126,7 +125,7 @@ def _cmd_solve(args) -> int:
     result = solve_cnf(cnf, SolverConfig(executable, args.timeout))
     if result.status == SAT:
         m = decode_model(result.assignment, vt)
-        check = is_answer_set(program, m, x, verify=False)
+        check = is_answer_set(program, m, x)
         if not check.is_answer_set:
             raise SolverError("decoded model failed the answer-set re-check")
         witness = _format_atoms(program, m)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backdoor import assignments_over, verify_strong_backdoor
+from .backdoor import verify_strong_backdoor
 from .program import (AtomSet, Program, Rule, gl_reduct, is_model,
                       least_model, satisfies)
 
@@ -112,16 +112,18 @@ def backdoor_subsets(program: Program, x: AtomSet) -> tuple[AtomSet, ...]:
 
     More than SUBSET_ATOM_LIMIT program atoms in x raise ValueError.
     """
-    effective = x & program.atoms
-    if len(effective) > SUBSET_ATOM_LIMIT:
+    mask = x.mask & program.atoms.mask
+    if mask.bit_count() > SUBSET_ATOM_LIMIT:
         raise ValueError(
-            f"backdoor has {len(effective)} program atoms, above the "
+            f"backdoor has {mask.bit_count()} program atoms, above the "
             f"2^{SUBSET_ATOM_LIMIT} subset guard")
-    return tuple(tau.true_atoms for tau in assignments_over(effective))
+    subsets = [0]
+    while subsets[-1] != mask:  # the next submask of mask, ascending
+        subsets.append((subsets[-1] - mask) & mask)
+    return tuple(map(AtomSet, subsets))
 
 
-def is_answer_set(program: Program, m: AtomSet, x: AtomSet,
-                  verify: bool = True) -> AnswerSetCheck:
+def is_answer_set(program: Program, m: AtomSet, x: AtomSet) -> AnswerSetCheck:
     """Decide whether m is an answer set of program, using backdoor x.
 
     m must be a model of the GL reduct, and the subprocedure must succeed
@@ -130,7 +132,7 @@ def is_answer_set(program: Program, m: AtomSet, x: AtomSet,
     subset index is reproducible regardless of evaluation strategy.
     """
     subsets = backdoor_subsets(program, x)
-    if verify and not verify_strong_backdoor(program, x):
+    if not verify_strong_backdoor(program, x):
         raise ValueError("x is not a strong normality backdoor")
     reduct = gl_reduct(program, m)
     if not is_model(m, reduct):

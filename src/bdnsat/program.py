@@ -82,12 +82,6 @@ class AtomSet:
     def isdisjoint(self, other: "AtomSet") -> bool:
         return self.mask & other.mask == 0
 
-    def __le__(self, other: "AtomSet") -> bool:
-        return self.issubset(other)
-
-    def __lt__(self, other: "AtomSet") -> bool:
-        return self.mask != other.mask and self.issubset(other)
-
     def __repr__(self) -> str:
         return f"AtomSet({{{', '.join(map(str, self))}}})"
 
@@ -117,9 +111,6 @@ class AtomTable:
 
     def name_of(self, atom_id: int) -> str:
         return self.names[atom_id]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AtomTable) and self.names == other.names
@@ -151,20 +142,8 @@ class Rule:
         return not self.pos_body.isdisjoint(self.head | self.neg_body)
 
     @property
-    def is_normal(self) -> bool:
-        return len(self.head) <= 1
-
-    @property
     def is_constraint(self) -> bool:
         return not self.head
-
-    @property
-    def is_negation_free(self) -> bool:
-        return not self.neg_body
-
-    @property
-    def is_horn(self) -> bool:
-        return self.is_normal and self.is_negation_free
 
 
 class Program:
@@ -181,21 +160,17 @@ class Program:
         self.tautologies_removed = tautologies_removed
         self.duplicates_removed = duplicates_removed
         atoms_mask = 0
-        normal = horn = negation_free = True
+        normal = negation_free = True
         for r in self.rules:
             atoms_mask |= r.atoms.mask
             if len(r.head) > 1:
                 normal = False
             if r.neg_body:
                 negation_free = False
-        horn = normal and negation_free
         self.atoms = AtomSet(atoms_mask)
         self.normal = normal
-        self.horn = horn
+        self.horn = normal and negation_free
         self.negation_free = negation_free
-
-    def __len__(self) -> int:
-        return len(self.rules)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Program) and self.table == other.table
@@ -206,42 +181,43 @@ class Program:
 
     @cached_property
     def tight(self) -> bool:
-        """True iff the positive dependency graph (head -> positive body) is acyclic."""
-        edges: dict[int, set[int]] = {}
-        for r in self.rules:
-            for x in r.head:
-                edges.setdefault(x, set()).update(r.pos_body)
-        # iterative three-color DFS
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {v: WHITE for v in self.atoms}
-        for start in self.atoms:
-            if color[start] != WHITE:
-                continue
-            stack: list[tuple[int, Iterator[int]]] = [(start, iter(sorted(edges.get(start, ()))))]
-            color[start] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for succ in it:
-                    if succ not in color:
-                        continue
-                    if color[succ] == GRAY:
-                        return False
-                    if color[succ] == WHITE:
-                        color[succ] = GRAY
-                        stack.append((succ, iter(sorted(edges.get(succ, ())))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return True
+        """True iff every positive-dependency SCC is one atom with no self-loop."""
+        return (all(len(c) == 1 for c in positive_sccs(self))
+                and not any(r.head.mask & r.pos_body.mask for r in self.rules))
 
     def atom_set(self, names: Iterable[str]) -> AtomSet:
         return self.table.set_of(names)
 
     def atom_names(self, atoms: AtomSet) -> tuple[str, ...]:
         return self.table.names_of(atoms)
+
+
+def positive_sccs(program: Program) -> list[AtomSet]:
+    """SCCs of the positive dependency graph (head -> positive body), sinks
+    first, by iterative Tarjan over atoms and successors in ascending id."""
+    succ: dict[int, int] = {}
+    for r in program.rules:
+        for h in r.head:
+            succ[h] = succ.get(h, 0) | r.pos_body.mask
+    low, stack, sccs, closed = {-1: -1}, [], [], len(program.atoms) + 1
+    # -1 is a virtual root over all atoms; its index -2 never equals its low
+    work = [(-1, -2, 0, list(program.atoms)[::-1])]
+    while work:
+        v, index, height, todo = work[-1]  # todo: successors left, descending
+        while todo and todo[-1] in low:  # a child is met here again on return
+            low[v] = min(low[v], low[todo.pop()])
+        if todo:
+            w = todo[-1]
+            work.append((w, len(low), len(stack), list(AtomSet(succ.get(w, 0)))[::-1]))
+            low[w] = len(low)
+            stack.append(w)
+        else:
+            work.pop()
+            if low[v] == index:
+                scc, stack[height:] = stack[height:], []
+                low.update(dict.fromkeys(scc, closed))  # above every index
+                sccs.append(AtomSet.of(scc))
+    return sccs
 
 
 # --- parsing ----------------------------------------------------------------
@@ -391,25 +367,6 @@ def _names_tautological(rule: _RuleNames) -> bool:
     return bool(set(rule.pos_body) & (set(rule.head) | set(rule.neg_body)))
 
 
-def pretty(program: Program) -> str:
-    """Render a program in the input grammar, one rule per line, atoms by ascending id."""
-    lines = []
-    for rule in program.rules:
-        names = program.table.name_of
-        head = " | ".join(names(a) for a in rule.head)
-        body = [names(a) for a in rule.pos_body]
-        body += [f"not {names(a)}" for a in rule.neg_body]
-        if body:
-            lines.append(f"{head}{' ' if head else ''}:- {', '.join(body)}.")
-        elif head:
-            lines.append(f"{head}.")
-        else:
-            # outside the input grammar; only arises in programs built by atom
-            # deletion, never from parsing
-            lines.append(":-.")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # --- semantics --------------------------------------------------------------
 
 def satisfies(m: AtomSet, rule: Rule) -> bool:
@@ -421,13 +378,6 @@ def satisfies(m: AtomSet, rule: Rule) -> bool:
 
 def is_model(m: AtomSet, program: Program) -> bool:
     return all(satisfies(m, r) for r in program.rules)
-
-
-def remove_tautologies(program: Program) -> Program:
-    """Drop tautological rules, preserving order (answer sets are unchanged)."""
-    kept = [r for r in program.rules if not r.is_tautological]
-    return Program(program.table, kept,
-                   tautologies_removed=len(program.rules) - len(kept))
 
 
 def gl_reduct(program: Program, m: AtomSet) -> Program:

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import io
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
-from bdnsat import AtomSet, Program, parse_program
+from bdnsat import AtomSet, AtomTable, Program, Rule, parse_program
 from bdnsat.encoding import VarTable
 from bdnsat.formula import CnfFormula, emit_dimacs
 from bdnsat.mincheck import restrict_program
@@ -66,6 +67,41 @@ def random_program_source(rng: random.Random, max_atoms: int = 7,
     return "\n".join(lines) + "\n"
 
 
+def tautologies_source(rng: random.Random, max_atoms: int = 7,
+                       max_rules: int = 3) -> str:
+    """One or more random tautological rules: an atom of each positive body
+    also stands in its head or its negative body."""
+    names = list(ATOM_POOL[:max_atoms])
+    lines = []
+    for _ in range(rng.randint(1, max_rules)):
+        head, pos, neg = (rng.sample(names, rng.randint(0, 2)) for _ in range(3))
+        shared = rng.choice(names)
+        pos.append(shared)
+        (head if rng.random() < 0.5 else neg).append(shared)
+        body = ", ".join(pos + [f"not {a}" for a in neg])
+        lines.append(f"{' | '.join(head)}{' ' if head else ''}:- {body}.")
+    return "\n".join(lines) + "\n"
+
+
+def program_keeping_tautologies(source: str) -> Program:
+    """Every rule of source, tautologies included, one rule per line.
+
+    Reads only the rule shapes written by random_program_source and
+    tautologies_source, by splitting at ':-', '|', ',' and 'not '.
+    """
+    triples = []
+    for line in source.splitlines():
+        head, _, body = line.rstrip(".").partition(":-")
+        literals = [lit.strip() for lit in body.split(",") if lit.strip()]
+        triples.append(([a.strip() for a in head.split("|") if a.strip()],
+                        [lit for lit in literals if not lit.startswith("not ")],
+                        [lit[4:] for lit in literals if lit.startswith("not ")]))
+    table = AtomTable(dict.fromkeys(a for triple in triples
+                                    for part in triple for a in part))
+    return Program(table, [Rule(*(table.set_of(part) for part in triple))
+                           for triple in triples])
+
+
 def random_program(rng: random.Random, max_atoms: int = 7,
                    max_rules: int = 10) -> Program:
     while True:
@@ -109,6 +145,89 @@ def rule_names(program: Program) -> list[tuple[frozenset, frozenset, frozenset]]
 
 def same_rules(left: Program, right: Program) -> bool:
     return sorted(rule_names(left)) == sorted(rule_names(right))
+
+
+def pretty(program: Program) -> str:
+    """Render a program in the input grammar, one rule per line, atoms by ascending id."""
+    lines = []
+    for rule in program.rules:
+        names = program.table.name_of
+        head = " | ".join(names(a) for a in rule.head)
+        body = [names(a) for a in rule.pos_body]
+        body += [f"not {names(a)}" for a in rule.neg_body]
+        if body:
+            lines.append(f"{head}{' ' if head else ''}:- {', '.join(body)}.")
+        elif head:
+            lines.append(f"{head}.")
+        else:
+            # outside the input grammar; only arises in programs built by atom
+            # deletion, never from parsing
+            lines.append(":-.")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@dataclass(frozen=True)
+class TruthAssignment:
+    """Total 0/1 assignment on a domain of atoms; negation is derived."""
+
+    domain: AtomSet
+    true_atoms: AtomSet
+
+    def __post_init__(self):
+        if not self.true_atoms.issubset(self.domain):
+            raise ValueError("true_atoms must lie within the domain")
+
+    @property
+    def false_atoms(self) -> AtomSet:
+        return self.domain - self.true_atoms
+
+    def value(self, atom_id: int) -> bool:
+        if atom_id not in self.domain:
+            raise ValueError(f"atom {atom_id} outside assignment domain")
+        return atom_id in self.true_atoms
+
+
+def delete_atoms(program: Program, x: AtomSet) -> Program:
+    """P - X: remove the atoms of x (and their negations) from every rule.
+
+    No rule is dropped; rules may become empty, which keeps P - X
+    unsatisfiable as a constraint set when a fact loses its whole head.
+    """
+    rules = [Rule(r.head - x, r.pos_body - x, r.neg_body - x)
+             for r in program.rules]
+    return Program(program.table, rules)
+
+
+def assignment_reduct(program: Program, tau: TruthAssignment) -> Program:
+    """Truth-assignment reduct: drop rules fixed by tau, strip domain literals.
+
+    A rule goes if (i) its head meets the true atoms, (ii) its head lies
+    inside the domain, (iii) its positive body meets the false atoms, or
+    (iv) its negative body meets the true atoms.
+    """
+    x = tau.domain
+    true_mask = tau.true_atoms.mask
+    false_mask = tau.false_atoms.mask
+    rules = []
+    for r in program.rules:
+        if (r.head.mask & true_mask
+                or r.head.issubset(x)
+                or r.pos_body.mask & false_mask
+                or r.neg_body.mask & true_mask):
+            continue
+        rules.append(Rule(r.head - x, r.pos_body - x, r.neg_body - x))
+    return Program(program.table, rules)
+
+
+def assignments_over(x: AtomSet):
+    """All truth assignments on x, in binary-counter order over ascending ids."""
+    atoms = list(x)
+    for counter in range(1 << len(atoms)):
+        true_mask = 0
+        for j, atom in enumerate(atoms):
+            if counter >> j & 1:
+                true_mask |= 1 << atom
+        yield TruthAssignment(x, AtomSet(true_mask))
 
 
 def subsets_of(mask: int):
@@ -155,24 +274,28 @@ def has_cover_of_size(edges: tuple[tuple[int, int], ...], k: int) -> bool:
     return not edges
 
 
-def positive_cycle_exists(program: Program) -> bool:
-    """Exhaustive reachability check for a cycle in the head -> pos-body graph."""
+def positive_reach(program: Program) -> dict[int, set[int]]:
+    """Atoms reachable from each atom in the head -> pos-body graph, in one
+    or more steps, by exhaustive search."""
     succ: dict[int, set[int]] = {}
     for r in program.rules:
         for x in r.head:
             succ.setdefault(x, set()).update(r.pos_body)
-    for start in succ:
-        frontier = set(succ[start])
-        seen = set()
+    reach = {}
+    for start in program.atoms:
+        frontier, seen = list(succ.get(start, ())), set()
         while frontier:
             node = frontier.pop()
-            if node == start:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.update(succ.get(node, ()))
-    return False
+            if node not in seen:
+                seen.add(node)
+                frontier.extend(succ.get(node, ()))
+        reach[start] = seen
+    return reach
+
+
+def positive_cycle_exists(program: Program) -> bool:
+    """Exhaustive reachability check for a cycle in the head -> pos-body graph."""
+    return any(a in reached for a, reached in positive_reach(program).items())
 
 
 def simulate_block_layers(program: Program, x: AtomSet, xi: AtomSet,

@@ -11,11 +11,11 @@ from itertools import combinations, product
 import pytest
 
 import support
-from bdnsat import (AtomSet, TruthAssignment, assignment_reduct,
-                    assignments_over, brave_atoms, delete_atoms,
-                    enumerate_answer_sets, find_backdoor, head_dependency_graph,
-                    is_answer_set, mincheck, naive_is_answer_set,
-                    skeptical_atoms)
+from bdnsat import (AtomSet, brave_atoms, enumerate_answer_sets, find_backdoor,
+                    head_dependency_graph, is_answer_set, mincheck,
+                    naive_is_answer_set, skeptical_atoms)
+from support import (TruthAssignment, assignment_reduct, assignments_over,
+                     delete_atoms)
 from bdnsat.encoding import QuerySpec, build_query
 from bdnsat.formula import evaluate, node_count, tseitin_cnf
 from bdnsat.formula import Var, Not, And, Or, Iff, Const
@@ -84,7 +84,7 @@ def test_criterion_2_answer_set_check_equivalence(corpus):
         for mask in support.subsets_of(program.atoms.mask):
             m = AtomSet(mask)
             checked += 1
-            if bool(is_answer_set(program, m, x, verify=False)) != \
+            if bool(is_answer_set(program, m, x)) != \
                     naive_is_answer_set(program, m):
                 mismatches += 1
     elapsed = time.monotonic() - start

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
-from bdnsat import (AtomSet, TruthAssignment, assignment_reduct,
-                    assignments_over, delete_atoms, enumerate_answer_sets,
-                    find_backdoor, format_backdoor, head_dependency_graph,
-                    parse_backdoor, parse_program, vertex_cover_bounded,
-                    verify_strong_backdoor)
+from bdnsat import (AtomSet, enumerate_answer_sets, find_backdoor,
+                    format_backdoor, head_dependency_graph, parse_backdoor,
+                    parse_program, vertex_cover_bounded, verify_strong_backdoor)
 from bdnsat.backdoor import HeadGraph
+from bdnsat.program import Program, Rule
+from support import (TruthAssignment, assignment_reduct, assignments_over,
+                     delete_atoms)
 
 
 def edge_names(program, graph):
@@ -281,6 +282,14 @@ class TestFindBackdoor:
         p = parse_program("a :- b, not c.")
         backdoor = find_backdoor(p)
         assert backdoor.k == 0
+
+    def test_tautological_rule_rejected(self):
+        # parse_program drops tautologies, so build the program directly
+        p = parse_program("a | b :- c.")
+        a, c = p.atom_set(["a"]), p.atom_set(["c"])
+        tautology = Rule(p.rules[0].head, a | c, AtomSet(0))
+        with pytest.raises(ValueError):
+            find_backdoor(Program(p.table, [*p.rules, tautology]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 100_000))

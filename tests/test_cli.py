@@ -84,6 +84,12 @@ class TestBackdoor:
         assert code == 0
         assert out.splitlines() == ["a", "c", "h"]
 
+    def test_exact_output(self, capsys, p1_file, tmp_path):
+        assert run(capsys, "backdoor", p1_file)[1] == "a\nc\nh\n"
+        normal = tmp_path / "normal.lp"
+        normal.write_text("a :- not b.\n")
+        assert run(capsys, "backdoor", str(normal)) == (0, "", "")
+
     def test_none_within_budget(self, capsys, p1_file):
         code, out, _ = run(capsys, "backdoor", p1_file, "--max-k", "2")
         assert code == 0
@@ -258,7 +264,8 @@ class TestSolveMatchesOracle:
     def test_golden_corpus(self, capsys, tmp_path):
         import random
 
-        from bdnsat import brave_atoms, pretty, skeptical_atoms
+        from bdnsat import brave_atoms, skeptical_atoms
+        from support import pretty
 
         rng = random.Random(321)
         for i in range(10):

@@ -141,8 +141,17 @@ class TestIsAnswerSet:
         x = p1.atom_set(["b", "c", "h"])
         for mask in support.subsets_of(p1.atoms.mask):
             m = AtomSet(mask)
-            assert bool(is_answer_set(p1, m, x, verify=False)) == \
+            assert bool(is_answer_set(p1, m, x)) == \
                 naive_is_answer_set(p1, m)
+
+    def test_subsets_match_assignments_on_corpus(self):
+        # the acceptance criteria's corpus, each with its detected backdoor
+        for p in support.corpus(2013, 500, max_atoms=7, max_rules=10):
+            x = find_backdoor(p).atoms
+            for y in (x, p.atoms, AtomSet(x.mask | 1 << len(p.table))):
+                expected = [t.true_atoms
+                            for t in support.assignments_over(y & p.atoms)]
+                assert list(backdoor_subsets(p, y)) == expected
 
     def test_subset_enumeration_order(self, p1):
         x = p1.atom_set(["b", "c", "h"])
@@ -166,7 +175,7 @@ class TestIsAnswerSet:
     def test_backdoor_guard(self, p1):
         p = parse_program("".join(f"a{i}.\n" for i in range(22)))
         with pytest.raises(ValueError):
-            is_answer_set(p, AtomSet(0), p.atoms, verify=False)
+            is_answer_set(p, AtomSet(0), p.atoms)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 100_000))
@@ -176,7 +185,7 @@ class TestIsAnswerSet:
         x = find_backdoor(p).atoms
         for _ in range(12):
             m = AtomSet(rng.getrandbits(len(p.table)) & p.atoms.mask)
-            assert bool(is_answer_set(p, m, x, verify=False)) == \
+            assert bool(is_answer_set(p, m, x)) == \
                 naive_is_answer_set(p, m)
 
     def test_subset_count_scales_with_backdoor(self):

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import support
 from bdnsat import (AtomSet, ParseError, enumerate_answer_sets, gl_reduct,
-                    is_model, least_model, parse_program, pretty,
-                    remove_tautologies, satisfies)
-from bdnsat.program import Program, Rule
+                    is_model, least_model, parse_program, positive_sccs,
+                    satisfies)
+from bdnsat.program import AtomTable, Program, Rule
+from support import pretty
 
 
 def names(program, atom_set):
@@ -111,10 +112,9 @@ class TestParse:
 
 class TestRuleClasses:
     def test_flags(self):
-        p = parse_program("a | b :- c, not d. e.")
-        assert not p.rules[0].is_normal
-        assert p.rules[1].is_horn
-        assert not p.rules[0].is_horn
+        disjunctive = parse_program("a | b :- c, not d.")
+        assert not disjunctive.normal and not disjunctive.horn
+        assert parse_program("e.").horn
 
     def test_empty_program_flags(self):
         p = parse_program("")
@@ -134,6 +134,48 @@ class TestRuleClasses:
     def test_tight_matches_exhaustive_cycle_search(self, seed):
         p = support.random_program(random.Random(seed))
         assert p.tight == (not support.positive_cycle_exists(p))
+
+    def test_self_loop_is_not_tight(self):
+        table = AtomTable(["a"])
+        a = table.set_of(["a"])
+        assert not Program(table, [Rule(a, a, AtomSet(0))]).tight
+
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_long_chain_and_ring(self, ring):
+        # 5,000 atoms: deeper than the default recursion limit
+        n = 5000
+        source = "".join(f"x{i} :- x{i - 1}.\n" for i in range(1, n))
+        p = parse_program(source + (f"x0 :- x{n - 1}.\n" if ring else "x0.\n"))
+        assert len(p.atoms) == n
+        assert p.tight is not ring
+        assert len(positive_sccs(p)) == (1 if ring else n)
+
+
+class TestPositiveSccs:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        # the acceptance criteria's corpus
+        return support.corpus(2013, 500, max_atoms=7, max_rules=10)
+
+    def test_partition_matches_mutual_reachability(self, corpus):
+        for p in corpus:
+            sccs = positive_sccs(p)
+            assert sum(len(c) for c in sccs) == len(p.atoms)
+            assert AtomSet.of(a for c in sccs for a in c) == p.atoms
+            component = {a: c for c in sccs for a in c}
+            reach = support.positive_reach(p)
+            for a in p.atoms:
+                for b in p.atoms:
+                    assert (component[a] == component[b]) == \
+                        (a == b or (b in reach[a] and a in reach[b]))
+
+    def test_sinks_first_and_deterministic(self, p1):
+        sccs = positive_sccs(p1)
+        assert sccs == positive_sccs(p1)
+        order = {a: i for i, c in enumerate(sccs) for a in c}
+        for r in p1.rules:
+            for h in r.head:
+                assert all(order[b] <= order[h] for b in r.pos_body)
 
 
 class TestSatisfies:
@@ -175,25 +217,30 @@ class TestGlReduct:
 
 
 class TestRemoveTautologies:
+    """parse_program drops tautological rules as it reads them."""
+
     def test_p1_unchanged(self, p1):
-        assert remove_tautologies(p1) == p1
+        assert p1.tautologies_removed == 0
+        assert len(p1.rules) == support.P1_SOURCE.count("\n")
 
     def test_self_supporting_rule_removed(self):
-        p = parse_program("b.")
-        table = p.table
-        rule = Rule(table.set_of(["b"]), table.set_of(["b"]), AtomSet(0))
-        doubled = Program(table, list(p.rules) + [rule])
-        cleaned = remove_tautologies(doubled)
-        assert [r for r in cleaned.rules] == list(p.rules)
-        assert cleaned.tautologies_removed == 1
+        p = parse_program("b.\nb :- b.\n")
+        assert p.rules == parse_program("b.").rules
+        assert p.tautologies_removed == 1
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(0, 100_000))
     def test_preserves_answer_sets(self, seed):
         rng = random.Random(seed)
         source = support.random_program_source(rng, max_atoms=6, max_rules=6)
-        p = parse_program(source)
-        assert enumerate_answer_sets(remove_tautologies(p)) == enumerate_answer_sets(p)
+        source += support.tautologies_source(rng, max_atoms=6, max_rules=3)
+        kept = support.program_keeping_tautologies(source)
+        assert any(r.is_tautological for r in kept.rules)
+        parsed = parse_program(source)
+
+        def by_name(p):
+            return {frozenset(p.atom_names(m)) for m in enumerate_answer_sets(p)}
+        assert by_name(kept) == by_name(parsed)
 
 
 class TestLeastModel:
