@@ -17,8 +17,8 @@ from .encoding import QuerySpec, build_query, decode_model, write_var_map
 from .formula import emit_dimacs, tseitin_cnf
 from .mincheck import is_answer_set
 from .program import AtomSet, ParseError, Program, parse_program
-from .solver import (SAT, SOLVER_ENV_VAR, UNSAT, SolverConfig, SolverError,
-                     solve as solve_cnf, valid_timeout)
+from .solver import (MAX_TIMEOUT, SAT, SOLVER_ENV_VAR, UNSAT, SolverConfig,
+                     SolverError, solve as solve_cnf, valid_timeout)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -171,7 +171,8 @@ def _seconds(text: str) -> float:
     value = float(text)
     if valid_timeout(value):
         return value
-    raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"must be > 0 and <= {MAX_TIMEOUT:.0f}, got {text!r}")
 
 
 def _size(text: str) -> int:

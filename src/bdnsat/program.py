@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 
 class ParseError(ValueError):
@@ -222,149 +222,77 @@ def positive_sccs(program: Program) -> list[AtomSet]:
 
 # --- parsing ----------------------------------------------------------------
 
+# Groups: 1 newline, 2 punctuation or end of text, 3 identifier, 4 a bad
+# character; blanks and comments match no group.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>%[^\n]*)
-      | (?P<newline>\n)
-      | (?P<arrow>:-)
-      | (?P<pipe>\|)
-      | (?P<comma>,)
-      | (?P<dot>\.)
-      | (?P<ident>[a-z][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
+    r"[ \t\r]+|%[^\n]*|(\n)|(:-|[|,.]|\Z)|([a-z][A-Za-z0-9_]*)|(.)")
 
-# "not" is reserved: it marks negative body literals and is not a valid atom name.
-_KEYWORD_NOT = "not"
-
-
-class _Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
-        kind = m.lastgroup
-        pos = m.end()
-        if kind == "newline":
-            line += 1
-            line_start = pos
-            continue
-        if kind in ("ws", "comment"):
-            continue
-        yield _Token(kind, m.group(), line, m.start() - line_start + 1)
-    yield _Token("eof", "", line, pos - line_start + 1)
-
-
-class _RuleNames(NamedTuple):
-    head: tuple[str, ...]
-    pos_body: tuple[str, ...]
-    neg_body: tuple[str, ...]
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self._tokens = _tokenize(text)
-        self._tok = next(self._tokens)
-        self.duplicates = 0
-
-    def _advance(self) -> _Token:
-        tok = self._tok
-        self._tok = next(self._tokens)
-        return tok
-
-    def _expect(self, kind: str) -> _Token:
-        if self._tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {self._tok.value!r}",
-                             self._tok.line, self._tok.column)
-        return self._advance()
-
-    def _atom(self) -> str:
-        tok = self._expect("ident")
-        if tok.value == _KEYWORD_NOT:
-            raise ParseError("'not' is reserved and cannot name an atom",
-                             tok.line, tok.column)
-        return tok.value
-
-    def _dedup(self, names: list[str]) -> tuple[str, ...]:
-        seen = dict.fromkeys(names)
-        self.duplicates += len(names) - len(seen)
-        return tuple(seen)
-
-    def parse(self) -> list[_RuleNames]:
-        rules = []
-        while self._tok.kind != "eof":
-            rules.append(self._rule())
-        return rules
-
-    def _rule(self) -> _RuleNames:
-        start = self._tok
-        head: list[str] = []
-        if self._tok.kind == "ident":
-            head.append(self._atom())
-            while self._tok.kind == "pipe":
-                self._advance()
-                head.append(self._atom())
-        pos_body: list[str] = []
-        neg_body: list[str] = []
-        if self._tok.kind == "arrow":
-            self._advance()
-            if not head and self._tok.kind == "dot":
-                raise ParseError("rule with empty head and empty body",
-                                 start.line, start.column)
-            self._literal(pos_body, neg_body)
-            while self._tok.kind == "comma":
-                self._advance()
-                self._literal(pos_body, neg_body)
-        elif not head:
-            raise ParseError(f"expected rule, found {self._tok.value!r}",
-                             self._tok.line, self._tok.column)
-        self._expect("dot")
-        return _RuleNames(self._dedup(head), self._dedup(pos_body),
-                          self._dedup(neg_body))
-
-    def _literal(self, pos_body: list[str], neg_body: list[str]) -> None:
-        if self._tok.kind == "ident" and self._tok.value == _KEYWORD_NOT:
-            self._advance()
-            neg_body.append(self._atom())
-        else:
-            pos_body.append(self._atom())
+# state -> {token: (next state, part its atom joins: 0 head, 1 positive body,
+# 2 negative body)}.  Identifiers read as "ident", except "not", which marks a
+# negative literal and is reserved everywhere else; "" is the end of text.
+_MOVES = {
+    "rule": {"ident": ("head", 0), ":-": ("lit", None), "": ("rule", None)},
+    "head": {"|": ("atom", None), ":-": ("lit", None), ".": ("rule", None)},
+    "atom": {"ident": ("head", 0)},
+    "lit": {"ident": ("body", 1), "not": ("neg", None)},
+    "neg": {"ident": ("body", 2)},
+    "body": {",": ("lit", None), ".": ("rule", None)},
+}
+_EXPECTED = {"rule": "rule", "head": "'dot'", "body": "'dot'",
+             "atom": "'ident'", "lit": "'ident'", "neg": "'ident'"}
 
 
 def parse_program(text: str) -> Program:
-    """Parse program text into a Program.
+    """Parse program text into a Program in one pass.
 
-    Tautological rules (pos body meets head or neg body) are dropped during
-    ingestion; the count is recorded on the result.  Atom ids follow first
-    appearance in the surviving rules.
+    Duplicate atoms within a rule part are dropped and counted, and
+    tautological rules (pos body meets head or neg body) are dropped and
+    counted.  Atom ids follow first appearance in the surviving rules, head
+    before positive before negative body.  A syntax error raises ParseError
+    at the first fault in reading order.
     """
-    parser = _Parser(text)
-    raw_rules = parser.parse()
-    kept = [r for r in raw_rules if not _names_tautological(r)]
-    tautologies = len(raw_rules) - len(kept)
-    names: dict[str, None] = {}
-    for rule in kept:
-        for name in rule.head + rule.pos_body + rule.neg_body:
-            names.setdefault(name)
-    table = AtomTable(names)
-    rules = [Rule(table.set_of(r.head), table.set_of(r.pos_body),
-                  table.set_of(r.neg_body)) for r in kept]
-    return Program(table, rules, tautologies_removed=tautologies,
-                   duplicates_removed=parser.duplicates)
-
-
-def _names_tautological(rule: _RuleNames) -> bool:
-    return bool(set(rule.pos_body) & (set(rule.head) | set(rule.neg_body)))
+    ids: dict[str, int] = {}
+    rules, tautologies, duplicates = [], 0, 0
+    state, parts, line, line_start = "rule", ([], [], []), 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group is None:
+            continue
+        if group == 1:
+            line, line_start = line + 1, m.end()
+            continue
+        token, column = m.group(group), m.start() - line_start + 1
+        if group == 4:
+            raise ParseError(f"unexpected character {token!r}", line, column)
+        kind = "ident" if group == 3 and token != "not" else token
+        moves = _MOVES[state]
+        if kind not in moves:
+            if kind == "not" and "ident" in moves:
+                raise ParseError("'not' is reserved and cannot name an atom",
+                                 line, column)
+            if state == "lit" and kind == "." and not any(parts):
+                raise ParseError("rule with empty head and empty body", *start)
+            raise ParseError(f"expected {_EXPECTED[state]}, found {token!r}",
+                             line, column)
+        if state == "rule":
+            start = line, column
+        state, part = moves[kind]
+        if part is not None:
+            parts[part].append(token)
+        elif kind == ".":
+            head, pos_body, neg_body = sets = [set(names) for names in parts]
+            duplicates += sum(map(len, parts)) - sum(map(len, sets))
+            if pos_body & (head | neg_body):
+                tautologies += 1
+            else:
+                masks = [0, 0, 0]
+                for i, names in enumerate(parts):
+                    for name in names:
+                        masks[i] |= 1 << ids.setdefault(name, len(ids))
+                rules.append(Rule(*map(AtomSet, masks)))
+            parts = ([], [], [])
+    return Program(AtomTable(ids), rules, tautologies_removed=tautologies,
+                   duplicates_removed=duplicates)
 
 
 # --- semantics --------------------------------------------------------------

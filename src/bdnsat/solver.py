@@ -10,7 +10,6 @@ format.
 """
 from __future__ import annotations
 
-import math
 import os
 import re
 import subprocess
@@ -23,6 +22,7 @@ from .formula import CnfFormula, emit_dimacs
 
 SOLVER_ENV_VAR = "BDNSAT_SOLVER"
 DEFAULT_TIMEOUT = 60.0
+MAX_TIMEOUT = 1e6  # seconds; subprocess waits overflow near 2.1e6 s on Linux
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -48,7 +48,7 @@ class SatResult:
 
 
 def valid_timeout(seconds: float) -> bool:
-    return 0 < seconds < math.inf  # false for nan too
+    return 0 < seconds <= MAX_TIMEOUT  # false for nan too
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ class SolverConfig:
 
     def __post_init__(self):
         if not valid_timeout(self.timeout):
-            raise ValueError(f"timeout must be finite and > 0, got {self.timeout!r}")
+            raise ValueError(f"timeout must be > 0 and <= {MAX_TIMEOUT:.0f}, "
+                             f"got {self.timeout!r}")
 
     @classmethod
     def from_environment(cls) -> "SolverConfig":

@@ -102,6 +102,58 @@ def program_keeping_tautologies(source: str) -> Program:
                            for triple in triples])
 
 
+WELL_FORMED_NAMES = ("a", "b", "c", "nota", "not_b", "notnot", "x1", "aB_9")
+# between tokens; a gap after "not" must not be empty
+GAPS = ("", " ", "  ", "\t", "\n", "\r\n", " % note\n", "\t%\r\n")
+# after a rule's dot
+RULE_ENDS = ("\n", "\r\n", "\n\n", " \r\n\r\n", "\t% c\n")
+
+
+def well_formed_source(rng: random.Random,
+                       max_rules: int = 8) -> tuple[str, Program]:
+    """Random valid program text and the Program parse_program must return.
+
+    The text repeats literals within a part, writes tautological rules,
+    constraints, comments, blank lines, tabs, CRLF line ends and atom names
+    that begin with "not", and may end in a comment with no newline.  The
+    expected Program is derived from the generator's own name lists.
+    """
+    def gap(required: bool = False) -> str:
+        return rng.choice(GAPS[1:] if required else GAPS)
+
+    text, kept, tautologies, duplicates = [gap()], [], 0, 0
+    for _ in range(rng.randint(0, max_rules)):
+        head = rng.choices(WELL_FORMED_NAMES, k=rng.choice([0, 1, 1, 2, 3]))
+        body = [(rng.random() < 0.4, rng.choice(WELL_FORMED_NAMES))  # (negated, atom)
+                for _ in range(rng.choice([0, 1, 2, 3, 4]))]
+        if rng.random() < 0.2:  # make it a tautology
+            shared = rng.choice(WELL_FORMED_NAMES)
+            body.insert(rng.randint(0, len(body)), (False, shared))
+            if rng.random() < 0.5:
+                head.append(shared)
+            else:
+                body.insert(rng.randint(0, len(body)), (True, shared))
+        if not head and not body:
+            head.append(rng.choice(WELL_FORMED_NAMES))
+        rule = f"{gap()}|{gap()}".join(head)
+        if body:
+            rule += f"{gap()}:-{gap()}" + f"{gap()},{gap()}".join(
+                f"not{gap(True)}{a}" if negated else a for negated, a in body)
+        text.append(f"{rule}{gap()}.{rng.choice(RULE_ENDS)}")
+        parts = [head] + [[a for negated, a in body if negated == n]
+                          for n in (False, True)]
+        duplicates += sum(len(p) - len(set(p)) for p in parts)
+        if set(parts[1]) & (set(head) | set(parts[2])):
+            tautologies += 1
+        else:
+            kept.append(parts)
+    if rng.random() < 0.3:
+        text.append("% end of file, no newline")
+    table = AtomTable(dict.fromkeys(a for parts in kept for p in parts for a in p))
+    rules = [Rule(*(table.set_of(p) for p in parts)) for parts in kept]
+    return "".join(text), Program(table, rules, tautologies, duplicates)
+
+
 def random_program(rng: random.Random, max_atoms: int = 7,
                    max_rules: int = 10) -> Program:
     while True:

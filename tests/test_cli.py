@@ -7,6 +7,7 @@ import support
 from bdnsat import cli
 from bdnsat.cli import main
 from bdnsat.encoding import VarTable
+from bdnsat.solver import MAX_TIMEOUT
 
 
 @pytest.fixture
@@ -241,13 +242,25 @@ class TestSolve:
         assert out == ""
         assert "2^20 subset guard" in err
 
-    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+    # above 2.1e6 s an external solver's wait overflows
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1", "3e6", "1e300"])
     def test_bad_timeout_is_usage_error(self, capsys, p1_file, timeout):
         code, out, err = run(capsys, "solve", p1_file, "--mode", "brave",
                              "--atom", "b", "--timeout", timeout)
         assert code == 1
         assert out == ""
         assert "--timeout" in err
+
+    def test_maximum_timeout_reaches_external_solver(self, capsys, p1_file,
+                                                     monkeypatch, tmp_path):
+        exe = tmp_path / "says_unsat"
+        exe.write_text('#!/bin/sh\necho "s UNSATISFIABLE"\n')
+        exe.chmod(0o755)
+        monkeypatch.setenv("BDNSAT_SOLVER", str(exe))
+        code, out, _ = run(capsys, "solve", p1_file, "--mode", "brave",
+                           "--atom", "b", "--timeout", str(MAX_TIMEOUT))
+        assert code == 20
+        assert out.startswith("no")
 
     def test_solve_builds_no_variable_names(self, capsys, p1_file,
                                             monkeypatch):

@@ -90,6 +90,49 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_program("not :- a.")
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("a.\r\nb $.", "unexpected character '$'", 2, 3),
+        ("a.\rb $.", "unexpected character '$'", 1, 6),  # a lone CR is a blank
+        ("A.", "unexpected character 'A'", 1, 1),
+        ("a :- b :", "unexpected character ':'", 1, 8),
+        ("a.\n\tb :- c d.", "expected 'dot', found 'd'", 2, 9),
+        ("a :- b not c.", "expected 'dot', found 'not'", 1, 8),
+        ("a :- b", "expected 'dot', found ''", 1, 7),
+        ("a :- b % note", "expected 'dot', found ''", 1, 14),
+        ("a :- b\r\n% c", "expected 'dot', found ''", 2, 4),
+        ("a.\nb :- ,c.\n", "expected 'ident', found ','", 2, 6),
+        ("a | .", "expected 'ident', found '.'", 1, 5),
+        ("a.\r\nb :- not .", "expected 'ident', found '.'", 2, 10),
+        ("a :- not", "expected 'ident', found ''", 1, 9),
+        ("a.\n| b.", "expected rule, found '|'", 2, 1),
+        ("a.\n\t.", "expected rule, found '.'", 2, 2),
+        ("not :- a.", "'not' is reserved and cannot name an atom", 1, 1),
+        ("a | not.", "'not' is reserved and cannot name an atom", 1, 5),
+        ("a :- not not b.", "'not' is reserved and cannot name an atom", 1, 10),
+        # the first error in reading order: the reserved word, not the '$'
+        ("a :- not not$.", "'not' is reserved and cannot name an atom", 1, 10),
+        ("a.\n  :- .", "rule with empty head and empty body", 2, 3),
+        (":-\n.", "rule with empty head and empty body", 1, 1),
+    ])
+    def test_error_message_and_position(self, text, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == f"{line}:{column}: {message}"
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_well_formed_sources(self):
+        tautologies = duplicates = 0
+        for seed in range(2000):
+            source, expected = support.well_formed_source(random.Random(seed))
+            parsed = parse_program(source)
+            assert parsed.table.names == expected.table.names, source
+            assert parsed.rules == expected.rules, source
+            assert parsed.tautologies_removed == expected.tautologies_removed
+            assert parsed.duplicates_removed == expected.duplicates_removed
+            tautologies += expected.tautologies_removed
+            duplicates += expected.duplicates_removed
+        assert tautologies and duplicates
+
     @settings(max_examples=500, deadline=None)
     @given(st.text(alphabet="abcXY_019|,.:-% \n\t", max_size=60))
     def test_parser_never_crashes(self, text):

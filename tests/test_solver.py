@@ -7,8 +7,9 @@ from itertools import combinations, product
 import pytest
 
 from bdnsat.formula import CnfFormula
-from bdnsat.solver import (SAT, UNKNOWN, UNSAT, SatResult, SolverConfig,
-                           SolverError, parse_solver_output, solve)
+from bdnsat.solver import (MAX_TIMEOUT, SAT, UNKNOWN, UNSAT, SatResult,
+                           SolverConfig, SolverError, parse_solver_output,
+                           solve)
 
 
 def cnf(n, clauses):
@@ -133,7 +134,8 @@ class TestInternal:
 
 class TestConfig:
     @pytest.mark.parametrize("executable", [None, "/bin/true"])
-    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0, -1])
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0, -1,
+                                         MAX_TIMEOUT * 1.5, 3e6, 1e300])
     def test_bad_timeout_rejected(self, executable, timeout):
         with pytest.raises(ValueError, match="timeout"):
             SolverConfig(executable, timeout)
