@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from typing import Sequence
@@ -17,8 +18,9 @@ from .encoding import QuerySpec, build_query, decode_model, write_var_map
 from .formula import emit_dimacs, tseitin_cnf
 from .mincheck import is_answer_set
 from .program import AtomSet, ParseError, Program, parse_program
-from .solver import (MAX_TIMEOUT, SAT, SOLVER_ENV_VAR, UNSAT, SolverConfig,
-                     SolverError, solve as solve_cnf, valid_timeout)
+from .solver import (DEFAULT_TIMEOUT, MAX_TIMEOUT, SAT, SOLVER_ENV_VAR, UNSAT,
+                     SolverConfig, SolverError, solve as solve_cnf,
+                     valid_timeout)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -105,6 +107,10 @@ def _build(args, program: Program):
 
 
 def _cmd_encode(args) -> int:
+    files = [("FILE", args.file), ("--out", args.out), ("--map", args.map)]
+    for (first, path), (second, other) in itertools.combinations(files, 2):
+        if other and os.path.realpath(path) == os.path.realpath(other):
+            raise ValueError(f"{second} {other!r} is the same file as {first}")
     program = _load(args.file)
     _, vt, cnf = _build(args, program)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -230,7 +236,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--solver", default=None,
                            help="external SAT solver executable "
                                 f"(${SOLVER_ENV_VAR} takes precedence)")
-            p.add_argument("--timeout", type=_seconds, default=60.0)
+            p.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT)
             p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("stats", help="backdoor-size report for several files")

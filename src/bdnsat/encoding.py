@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import IO, Literal
 
 from .backdoor import verify_strong_backdoor
-from .formula import Formula, Var, conj, disj, iff, imp, neg, FALSE, CnfFormula
+from .formula import Formula, Var, conj, disj, iff, imp, neg, CnfFormula
 from .mincheck import backdoor_subsets, restrict_program
 from .program import AtomSet, Program
 
@@ -67,6 +67,11 @@ class QuerySpec:
     mode: Literal["brave", "skeptical"]
     atom: str
 
+    def __post_init__(self):
+        if self.mode not in ("brave", "skeptical"):
+            raise ValueError("query mode must be brave or skeptical, "
+                             f"got {self.mode!r}")
+
 
 def build_f_mod(program: Program, vt: VarTable) -> Formula:
     """One conjunct per rule: the v assignment is a model of the symbolic reduct."""
@@ -96,7 +101,7 @@ def build_f_lm_block(restricted: Program, block: int, vt: VarTable) -> Formula:
         deriving[head_atom].append(r)
     parts = []
     for a in range(vt.n_atoms):
-        parts.append(iff(vt.u(block, 0, a), FALSE))
+        parts.append(neg(vt.u(block, 0, a)))
         for j in range(1, vt.p + 1):
             firings = [conj([vt.u(block, j - 1, b) for b in r.pos_body]
                             + [neg(vt.v(b)) for b in r.neg_body])
@@ -141,12 +146,6 @@ def build_f_min_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
                  conj([f_lm, disj([f_a, f_b, f_c, f_d])])])
 
 
-def build_f_min(program: Program, x: AtomSet, subsets: tuple[AtomSet, ...],
-                vt: VarTable) -> Formula:
-    return conj(build_f_min_block(program, x, xi, i + 1, vt)
-                for i, xi in enumerate(subsets))
-
-
 def build_query(program: Program, x: AtomSet,
                 query: QuerySpec) -> tuple[Formula, VarTable]:
     """F_mod and all minimality blocks, plus the query literal."""
@@ -160,7 +159,8 @@ def build_query(program: Program, x: AtomSet,
     vt = VarTable(program, effective)
     query_var = vt.v(atom_id)
     return conj([build_f_mod(program, vt),
-                 build_f_min(program, effective, subsets, vt),
+                 conj(build_f_min_block(program, effective, xi, i + 1, vt)
+                      for i, xi in enumerate(subsets)),
                  query_var if query.mode == "brave" else neg(query_var)]), vt
 
 

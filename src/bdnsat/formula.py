@@ -10,7 +10,7 @@ shared CNF variable fixed to true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Union
+from typing import IO, Iterable, Iterator, Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -29,21 +29,20 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
+class _Nary:
     children: tuple["Formula", ...]
 
     def __post_init__(self):
         if not self.children:
-            raise ValueError("And needs at least one child")
+            raise ValueError(f"{type(self).__name__} needs at least one child")
 
 
-@dataclass(frozen=True)
-class Or:
-    children: tuple["Formula", ...]
+class And(_Nary):
+    pass
 
-    def __post_init__(self):
-        if not self.children:
-            raise ValueError("Or needs at least one child")
+
+class Or(_Nary):
+    pass
 
 
 @dataclass(frozen=True)
@@ -58,36 +57,28 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-def conj(children: Iterable[Formula]) -> Formula:
-    """Conjunction with constant folding; empty conjunctions are true."""
+def _fold(node: type[_Nary], unit: Const, children: Iterable[Formula]) -> Formula:
+    """Drop unit constants; the opposite constant absorbs; one child stands alone."""
     kept = []
     for child in children:
         if isinstance(child, Const):
-            if not child.value:
-                return FALSE
+            if child.value != unit.value:
+                return child
             continue
         kept.append(child)
-    if not kept:
-        return TRUE
-    if len(kept) == 1:
-        return kept[0]
-    return And(tuple(kept))
+    if len(kept) > 1:
+        return node(tuple(kept))
+    return kept[0] if kept else unit
+
+
+def conj(children: Iterable[Formula]) -> Formula:
+    """Conjunction with constant folding; empty conjunctions are true."""
+    return _fold(And, TRUE, children)
 
 
 def disj(children: Iterable[Formula]) -> Formula:
     """Disjunction with constant folding; empty disjunctions are false."""
-    kept = []
-    for child in children:
-        if isinstance(child, Const):
-            if child.value:
-                return TRUE
-            continue
-        kept.append(child)
-    if not kept:
-        return FALSE
-    if len(kept) == 1:
-        return kept[0]
-    return Or(tuple(kept))
+    return _fold(Or, FALSE, children)
 
 
 def neg(child: Formula) -> Formula:
@@ -127,37 +118,27 @@ def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def variables(formula: Formula) -> set[int]:
-    out: set[int] = set()
+def _nodes(formula: Formula) -> Iterator[Formula]:
+    """Every node occurrence, depth first, last child first."""
     stack = [formula]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.id)
-        elif isinstance(node, Not):
+        yield node
+        if isinstance(node, Not):
             stack.append(node.child)
-        elif isinstance(node, (And, Or)):
+        elif isinstance(node, _Nary):
             stack.extend(node.children)
         elif isinstance(node, Iff):
             stack.append(node.left)
             stack.append(node.right)
-    return out
+
+
+def variables(formula: Formula) -> set[int]:
+    return {node.id for node in _nodes(formula) if isinstance(node, Var)}
 
 
 def node_count(formula: Formula) -> int:
-    count = 0
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack.extend(node.children)
-        elif isinstance(node, Iff):
-            stack.append(node.left)
-            stack.append(node.right)
-    return count
+    return sum(1 for _ in _nodes(formula))
 
 
 @dataclass

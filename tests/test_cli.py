@@ -175,12 +175,32 @@ class TestEncode:
                            "--atom", "b", "--out", str(cnf_path),
                            "--map", str(map_path))
         assert code == 0
-        assert "blocks: 8" in out
+        # Pinned (detected backdoor a, c, h): a change to the encoding's
+        # size must update these on purpose.
+        assert out.splitlines() == ["blocks: 8", "variables: 1100",
+                                    "clauses: 2843"]
         header = cnf_path.read_text().splitlines()[0].split()
         assert header[:2] == ["p", "cnf"]
         map_lines = map_path.read_text().splitlines()
         assert map_lines[0] == "v 1 a"
         assert int(header[2]) == len(map_lines)
+
+    @pytest.mark.parametrize("out, map_", [("p1.lp", None),
+                                            ("q.cnf", "q.cnf"),
+                                            ("q.cnf", "p1.lp")])
+    def test_same_path_writes_nothing(self, capsys, p1_file, tmp_path,
+                                      monkeypatch, out, map_):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "q.cnf").write_text("keep\n")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        argv = ["encode", p1_file, "--mode", "brave", "--atom", "b",
+                "--out", out] + (["--map", map_] if map_ else [])
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert "same file" in err and "Traceback" not in err
+        after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert after == before
 
     def test_deterministic_across_runs(self, capsys, p1_file, tmp_path):
         outputs = []

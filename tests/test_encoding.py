@@ -11,7 +11,8 @@ from bdnsat import encoding
 from bdnsat.encoding import (QuerySpec, VarTable, build_f_lm_block,
                              build_f_min_block, build_f_mod, build_query,
                              decode_model, write_var_map)
-from bdnsat.formula import And, evaluate, tseitin_cnf, variables
+from bdnsat.formula import (And, evaluate, node_count, tseitin_cnf,
+                            variables)
 from bdnsat.mincheck import backdoor_subsets, restrict_program
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
 import io
@@ -242,6 +243,19 @@ class TestBuildQuery:
     def test_unknown_atom_rejected(self, p1):
         with pytest.raises(ValueError):
             build_query(p1, p1.atom_set(["b", "c", "h"]), QuerySpec("brave", "zz"))
+
+    @pytest.mark.parametrize("mode", ["Brave", "cautious", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="brave or skeptical"):
+            QuerySpec(mode, "a")
+
+    def test_p1_encoding_size(self, p1):
+        # Pinned: a change to the encoding's size must update these on purpose.
+        x = p1.atom_set(["b", "c", "h"])
+        formula, vt = build_query(p1, x, QuerySpec("brave", "b"))
+        cnf = tseitin_cnf(formula, vt.n_reserved)
+        assert node_count(formula) == 1903
+        assert (cnf.n_vars, len(cnf.clauses)) == (1041, 2639)
 
     def test_unverified_backdoor_rejected(self, p1):
         with pytest.raises(ValueError):

@@ -49,6 +49,7 @@ class TestConstructors:
         assert disj([FALSE]) == FALSE
         assert disj([Var(1), TRUE]) == TRUE
         assert disj([FALSE, Var(2)]) == Var(2)
+        assert disj([Var(1), Var(2)]) == Or((Var(1), Var(2)))
 
     def test_neg_imp_iff_folding(self):
         assert neg(TRUE) == FALSE
@@ -74,10 +75,24 @@ class TestConstructors:
         with pytest.raises(ValueError):
             Or(())
 
+    def test_and_differs_from_or_over_equal_children(self):
+        children = (Var(1), Var(2))
+        assert And(children) != Or(children)
+        assert And(children) == And(children)
+
     def test_node_count(self):
         f = And((Var(1), Not(Var(2))))
         assert node_count(f) == 4
         assert variables(f) == {1, 2}
+        # Iff(Not(And(v1, Or(v2, v3))), Or(v1, Not(v4), Const)):
+        # 1 Iff + 1 Not + 1 And + 1 v1 + 1 Or + 2 (v2, v3)
+        # + 1 Or + 1 v1 + 1 Not + 1 v4 + 1 Const = 12 occurrences.
+        f = Iff(Not(And((Var(1), Or((Var(2), Var(3)))))),
+                Or((Var(1), Not(Var(4)), TRUE)))
+        assert node_count(f) == 12
+        assert variables(f) == {1, 2, 3, 4}
+        assert node_count(Var(5)) == 1
+        assert variables(TRUE) == set()
 
 
 class TestCnfInvariants:
