@@ -11,11 +11,11 @@ from .program import (AtomSet, AtomTable, ParseError, Program, Rule, gl_reduct,
                       satisfies)
 from .oracle import (brave_atoms, enumerate_answer_sets, naive_is_answer_set,
                      skeptical_atoms)
-from .backdoor import (Backdoor, HeadGraph, find_backdoor, format_backdoor,
+from .backdoor import (Backdoor, find_backdoor, format_backdoor,
                        head_dependency_graph, parse_backdoor,
                        vertex_cover_bounded, verify_strong_backdoor)
-from .mincheck import (AnswerSetCheck, MinCheckOutcome, backdoor_subsets,
-                       is_answer_set, mincheck, restrict_program)
+from .mincheck import (AnswerSetCheck, backdoor_subsets, is_answer_set,
+                       mincheck, restrict_program)
 from .formula import (CnfFormula, Formula, emit_dimacs, evaluate, node_count,
                       tseitin_cnf)
 from .encoding import (QuerySpec, VarTable, build_f_lm_block, build_f_min_block,

@@ -9,17 +9,11 @@ the head dependency graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 from .program import AtomSet, Program
 
-
-@dataclass(frozen=True)
-class HeadGraph:
-    """Undirected graph joining atoms that share a rule head."""
-
-    vertices: AtomSet
-    edges: tuple[tuple[int, int], ...]  # sorted pairs u < v, deduplicated
+Edges = tuple[tuple[int, int], ...]  # sorted pairs u < v, deduplicated
 
 
 @dataclass(frozen=True)
@@ -33,14 +27,14 @@ class Backdoor:
         return len(self.atoms)
 
 
-def head_dependency_graph(program: Program) -> HeadGraph:
-    """Edges between distinct atoms co-occurring in a rule head.  The program
-    must be tautology-free, which find_backdoor checks once per detection."""
+def head_dependency_graph(program: Program) -> Edges:
+    """Sorted edges between distinct atoms co-occurring in a rule head.  The
+    program must be tautology-free, which find_backdoor checks once."""
     edges = set()
     for rule in program.rules:
         for u, v in combinations(rule.head, 2):
             edges.add((u, v))
-    return HeadGraph(program.atoms, tuple(sorted(edges)))
+    return tuple(sorted(edges))
 
 
 def _adjacency(edges) -> dict[int, set[int]]:
@@ -110,7 +104,7 @@ def _lower_bound(adj: dict[int, set[int]]) -> int:
     return bound
 
 
-def vertex_cover_bounded(graph: HeadGraph, k: int) -> AtomSet | None:
+def vertex_cover_bounded(edges: Edges, k: int) -> AtomSet | None:
     """A vertex cover of size <= k, or None if none exists.
 
     Depth-first search over an explicit stack.  Each node runs the reduction
@@ -120,7 +114,7 @@ def vertex_cover_bounded(graph: HeadGraph, k: int) -> AtomSet | None:
     all of N(v) does.  Every branch spends budget, so the search is at most
     k deep; the result is deterministic.
     """
-    stack = [(_adjacency(graph.edges), k, 0)] if k >= 0 else []
+    stack = [(_adjacency(edges), k, 0)] if k >= 0 else []
     while stack:
         adj, budget, chosen = stack.pop()
         budget, chosen = _reduce(adj, budget, chosen)
@@ -150,26 +144,25 @@ def verify_strong_backdoor(program: Program, x: AtomSet) -> bool:
     return all((r.head.mask & outside).bit_count() <= 1 for r in program.rules)
 
 
-def _parts(graph: HeadGraph) -> list[HeadGraph]:
+def _parts(edges: Edges) -> list[Edges]:
     """Connected components by ascending lowest atom, with all trees in one part
     where the first tree stands: the degree-1 rule covers a forest minimally
     without branching, so one search serves every tree."""
-    adj, forest, parts = _adjacency(graph.edges), [], []
+    adj, forest, parts = _adjacency(edges), [], []
     for start in sorted(adj):
-        todo, vertices, edges = [start], 0, []
+        todo, vertices, part = [start], 0, []
         while todo:
             if (u := todo.pop()) in adj:
                 vertices += 1
                 todo += adj[u]
-                edges += [(u, w) for w in adj.pop(u) if u < w]
-        if edges and len(edges) == vertices - 1:  # a tree
+                part += [(u, w) for w in adj.pop(u) if u < w]
+        if part and len(part) == vertices - 1:  # a tree
             if not forest:
                 parts.append(forest)
-            forest += sorted(edges)
-        elif edges:
-            parts.append(sorted(edges))
-    return [HeadGraph(AtomSet.of(chain.from_iterable(edges)), tuple(edges))
-            for edges in parts]
+            forest += sorted(part)
+        elif part:
+            parts.append(sorted(part))
+    return list(map(tuple, parts))
 
 
 def find_backdoor(program: Program, max_k: int | None = None) -> Backdoor | None:
@@ -186,7 +179,7 @@ def find_backdoor(program: Program, max_k: int | None = None) -> Backdoor | None
     if any(r.is_tautological for r in program.rules):
         raise ValueError("find_backdoor requires a tautology-free program")
     parts = _parts(head_dependency_graph(program))
-    bounds = [_lower_bound(_adjacency(part.edges)) for part in parts]
+    bounds = [_lower_bound(_adjacency(part)) for part in parts]
     need, cover = sum(bounds), AtomSet(0)
     if need > max_k:
         return None

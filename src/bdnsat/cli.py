@@ -79,7 +79,7 @@ def _cmd_check(args) -> int:
     if result.is_answer_set:
         for i, (subset, outcome) in enumerate(zip(result.subsets,
                                                   result.outcomes), start=1):
-            fired = ",".join(outcome.fired)
+            fired = ",".join(outcome)
             print(f"subset {i} {_format_atoms(program, subset)}: {fired}")
     elif not result.model_of_reduct:
         print("not a model of its reduct")
@@ -109,7 +109,9 @@ def _build(args, program: Program):
 def _cmd_encode(args) -> int:
     files = [("FILE", args.file), ("--out", args.out), ("--map", args.map)]
     for (first, path), (second, other) in itertools.combinations(files, 2):
-        if other and os.path.realpath(path) == os.path.realpath(other):
+        if other and (os.path.samefile(path, other)
+                      if os.path.exists(path) and os.path.exists(other)
+                      else os.path.realpath(path) == os.path.realpath(other)):
             raise ValueError(f"{second} {other!r} is the same file as {first}")
     program = _load(args.file)
     _, vt, cnf = _build(args, program)

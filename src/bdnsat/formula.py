@@ -1,21 +1,16 @@
 """Boolean formula trees, Tseitin conversion to CNF, and DIMACS output.
 
-Variables are positive integers (DIMACS ids).  The raw node constructors
-never simplify; the lowercase builder functions fold constants so that
-compile-time facts (backdoor membership, empty conjunctions) disappear
-from the tree instead of becoming CNF variables.  Tseitin conversion does
-not fold again: a constant left below the root of a raw tree becomes one
-shared CNF variable fixed to true.
+Variables are positive integers (DIMACS ids) and constants are bools.
+The raw node constructors never simplify; the lowercase builder functions
+fold constants so that compile-time facts (backdoor membership, empty
+conjunctions) disappear from the tree instead of becoming CNF variables.
+Tseitin conversion does not fold again: a constant left below the root of
+a raw tree becomes one shared CNF variable fixed to true.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Union
-
-
-@dataclass(frozen=True)
-class Const:
-    value: bool
 
 
 @dataclass(frozen=True)
@@ -51,18 +46,15 @@ class Iff:
     right: "Formula"
 
 
-Formula = Union[Const, Var, Not, And, Or, Iff]
-
-TRUE = Const(True)
-FALSE = Const(False)
+Formula = Union[bool, Var, Not, And, Or, Iff]
 
 
-def _fold(node: type[_Nary], unit: Const, children: Iterable[Formula]) -> Formula:
+def _fold(node: type[_Nary], unit: bool, children: Iterable[Formula]) -> Formula:
     """Drop unit constants; the opposite constant absorbs; one child stands alone."""
     kept = []
     for child in children:
-        if isinstance(child, Const):
-            if child.value != unit.value:
+        if isinstance(child, bool):
+            if child is not unit:
                 return child
             continue
         kept.append(child)
@@ -73,17 +65,17 @@ def _fold(node: type[_Nary], unit: Const, children: Iterable[Formula]) -> Formul
 
 def conj(children: Iterable[Formula]) -> Formula:
     """Conjunction with constant folding; empty conjunctions are true."""
-    return _fold(And, TRUE, children)
+    return _fold(And, True, children)
 
 
 def disj(children: Iterable[Formula]) -> Formula:
     """Disjunction with constant folding; empty disjunctions are false."""
-    return _fold(Or, FALSE, children)
+    return _fold(Or, False, children)
 
 
 def neg(child: Formula) -> Formula:
-    if isinstance(child, Const):
-        return Const(not child.value)
+    if isinstance(child, bool):
+        return not child
     if isinstance(child, Not):
         return child.child
     return Not(child)
@@ -94,17 +86,17 @@ def imp(premise: Formula, conclusion: Formula) -> Formula:
 
 
 def iff(left: Formula, right: Formula) -> Formula:
-    if isinstance(left, Const):
-        return right if left.value else neg(right)
-    if isinstance(right, Const):
-        return left if right.value else neg(left)
+    if isinstance(left, bool):
+        return right if left else neg(right)
+    if isinstance(right, bool):
+        return left if right else neg(left)
     return Iff(left, right)
 
 
 def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
     """Truth value under a total assignment of the referenced variables."""
-    if isinstance(formula, Const):
-        return formula.value
+    if isinstance(formula, bool):
+        return formula
     if isinstance(formula, Var):
         return assignment[formula.id]
     if isinstance(formula, Not):
@@ -207,14 +199,14 @@ def tseitin_cnf(formula: Formula, n_reserved: int) -> CnfFormula:
             clauses.append((label, a, b))
             clauses.append((label, -a, -b))
             return label
-        if isinstance(node, Const):
+        if isinstance(node, bool):
             if not true_lit:
                 true_lit = fresh()
                 clauses.append((true_lit,))
-            return true_lit if node.value else -true_lit
+            return true_lit if node else -true_lit
         raise TypeError(f"cannot label {node!r}")
 
-    if formula != TRUE:
+    if formula is not True:
         clauses.append((lit_of(formula),))
     return CnfFormula(next_aux - 1, clauses)
 

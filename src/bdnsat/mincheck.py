@@ -18,36 +18,29 @@ SUBSET_ATOM_LIMIT = 20
 
 
 @dataclass(frozen=True)
-class MinCheckOutcome:
-    """Verdict of one subprocedure run plus every condition that fired.
+class AnswerSetCheck:
+    """Aggregate result of the 2^k subset sweep.
 
-    ``fired`` lists, in checking order, the labels among "1", "a", "b",
-    "c", "d" that held; several may hold at once and all are reported.
+    Each outcome lists, in checking order, the labels among "1", "a", "b",
+    "c", "d" that held in one subprocedure run; several may hold at once
+    and all are reported.  An empty outcome is a failed run.
     """
 
-    returned_true: bool
-    fired: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.returned_true
-
-
-@dataclass(frozen=True)
-class AnswerSetCheck:
-    """Aggregate result of the 2^k subset sweep."""
-
-    is_answer_set: bool
     model_of_reduct: bool
     subsets: tuple[AtomSet, ...]
-    outcomes: tuple[MinCheckOutcome, ...]
+    outcomes: tuple[tuple[str, ...], ...]
 
     def __bool__(self) -> bool:
         return self.is_answer_set
 
     @property
+    def is_answer_set(self) -> bool:
+        return self.model_of_reduct and all(self.outcomes)
+
+    @property
     def first_failure(self) -> int | None:
         for i, outcome in enumerate(self.outcomes):
-            if not outcome.returned_true:
+            if not outcome:
                 return i
         return None
 
@@ -69,11 +62,11 @@ def restrict_program(program: Program, x: AtomSet, x1: AtomSet) -> Program:
 
 
 def _subprocedure(reduct: Program, m: AtomSet, x: AtomSet,
-                  x1: AtomSet) -> MinCheckOutcome:
+                  x1: AtomSet) -> tuple[str, ...]:
     """One MinCheck run against a precomputed GL reduct of the program under m."""
     fired: list[str] = []
     if not x1.issubset(m):
-        return MinCheckOutcome(True, ("1",))
+        return ("1",)
     restricted = restrict_program(reduct, x, x1)
     if not restricted.horn:
         raise AssertionError("restricted reduct is not Horn; backdoor unverified?")
@@ -91,11 +84,11 @@ def _subprocedure(reduct: Program, m: AtomSet, x: AtomSet,
     # (d) the least model joined with x1 is not a model of the reduct
     if not is_model(lux, reduct):
         fired.append("d")
-    return MinCheckOutcome(bool(fired), tuple(fired))
+    return tuple(fired)
 
 
 def mincheck(program: Program, m: AtomSet, x: AtomSet,
-             x1: AtomSet) -> MinCheckOutcome:
+             x1: AtomSet) -> tuple[str, ...]:
     """Run the subprocedure for one subset x1, validating its preconditions."""
     if not x1.issubset(x):
         raise ValueError("x1 must be a subset of x")
@@ -136,7 +129,6 @@ def is_answer_set(program: Program, m: AtomSet, x: AtomSet) -> AnswerSetCheck:
         raise ValueError("x is not a strong normality backdoor")
     reduct = gl_reduct(program, m)
     if not is_model(m, reduct):
-        return AnswerSetCheck(False, False, subsets, ())
-    outcomes = tuple(_subprocedure(reduct, m, x, x1) for x1 in subsets)
-    verdict = all(o.returned_true for o in outcomes)
-    return AnswerSetCheck(verdict, True, subsets, outcomes)
+        return AnswerSetCheck(False, subsets, ())
+    return AnswerSetCheck(True, subsets, tuple(_subprocedure(reduct, m, x, x1)
+                                               for x1 in subsets))

@@ -18,7 +18,7 @@ from support import (TruthAssignment, assignment_reduct, assignments_over,
                      delete_atoms)
 from bdnsat.encoding import QuerySpec, build_query
 from bdnsat.formula import evaluate, node_count, tseitin_cnf
-from bdnsat.formula import Var, Not, And, Or, Iff, Const
+from bdnsat.formula import Var, Not, And, Or, Iff
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
 
 CORPUS_SEED = 2013
@@ -62,9 +62,9 @@ def test_criterion_1_example_fidelity():
                                   parse_program(listing)):
             reducts_match = False
 
-    fired_empty = mincheck(p1, m, x, AtomSet(0)).fired
-    fired_c = mincheck(p1, m, x, p1.atom_set(["c"])).fired
-    fired_bc = mincheck(p1, m, x, p1.atom_set(["b", "c"])).fired
+    fired_empty = mincheck(p1, m, x, AtomSet(0))
+    fired_c = mincheck(p1, m, x, p1.atom_set(["c"]))
+    fired_bc = mincheck(p1, m, x, p1.atom_set(["b", "c"]))
     conditions_match = ("a" in fired_empty and "c" in fired_c
                         and "c" in fired_bc)
 
@@ -151,17 +151,17 @@ def test_criterion_5_detection_optimality(corpus):
         graph = head_dependency_graph(program)
         graphs += 1
         if find_backdoor(program).k != \
-                support.exhaustive_min_vertex_cover(graph.edges):
+                support.exhaustive_min_vertex_cover(graph):
             mismatches += 1
     rng = random.Random(77)
     for _ in range(120):
         program = support.random_program(rng, max_atoms=14, max_rules=14)
         graph = head_dependency_graph(program)
-        if len(graph.vertices) > 14:
+        if len(program.atoms) > 14:
             continue
         graphs += 1
         if find_backdoor(program).k != \
-                support.exhaustive_min_vertex_cover(graph.edges):
+                support.exhaustive_min_vertex_cover(graph):
             mismatches += 1
     elapsed = time.monotonic() - start
     report(5, mismatches == 0,
@@ -219,7 +219,7 @@ def test_criterion_7_tseitin_equisatisfiability():
     def random_formula(depth, n_vars):
         if depth == 0 or rng.random() < 0.3:
             if rng.random() < 0.08:
-                return Const(rng.random() < 0.5)
+                return rng.random() < 0.5
             return Var(rng.randint(1, n_vars))
         kind = rng.choice(["and", "or", "not", "imp", "iff"])
         if kind == "not":

@@ -9,7 +9,6 @@ import support
 from bdnsat import (AtomSet, enumerate_answer_sets, find_backdoor,
                     format_backdoor, head_dependency_graph, parse_backdoor,
                     parse_program, vertex_cover_bounded, verify_strong_backdoor)
-from bdnsat.backdoor import HeadGraph
 from bdnsat.program import Program, Rule
 from support import (TruthAssignment, assignment_reduct, assignments_over,
                      delete_atoms)
@@ -17,7 +16,7 @@ from support import (TruthAssignment, assignment_reduct, assignments_over,
 
 def edge_names(program, graph):
     return sorted((program.table.name_of(u), program.table.name_of(v))
-                  for u, v in graph.edges)
+                  for u, v in graph)
 
 
 class TestHeadGraph:
@@ -32,15 +31,15 @@ class TestHeadGraph:
         for r in p1.rules:
             for u, v in combinations(sorted(r.head), 2):
                 expected.add((u, v))
-        assert set(graph.edges) == expected
+        assert set(graph) == expected
 
     def test_normal_program_has_no_edges(self):
         p = parse_program("a :- b. c. :- d.")
-        assert head_dependency_graph(p).edges == ()
+        assert head_dependency_graph(p) == ()
 
     def test_no_self_loops_after_dedup(self):
         p = parse_program("a | a :- b.")
-        assert head_dependency_graph(p).edges == ()
+        assert head_dependency_graph(p) == ()
 
 
 class TestVertexCover:
@@ -48,19 +47,19 @@ class TestVertexCover:
         graph = head_dependency_graph(p1)
         cover = vertex_cover_bounded(graph, 3)
         assert cover is not None and len(cover) == 3
-        assert all(u in cover or v in cover for u, v in graph.edges)
+        assert all(u in cover or v in cover for u, v in graph)
         assert vertex_cover_bounded(graph, 2) is None
 
     def test_edgeless_graph(self):
-        graph = HeadGraph(AtomSet.of([0, 1]), ())
+        graph = ()
         assert vertex_cover_bounded(graph, 0) == AtomSet(0)
 
     def test_negative_budget(self):
-        assert vertex_cover_bounded(HeadGraph(AtomSet(0), ()), -1) is None
+        assert vertex_cover_bounded((), -1) is None
 
     def test_high_degree_kernelization_forces_hub(self):
         edges = tuple((0, v) for v in range(1, 6))
-        graph = HeadGraph(AtomSet.of(range(6)), edges)
+        graph = edges
         assert vertex_cover_bounded(graph, 1) == AtomSet.of([0])
 
     def test_deterministic(self, p1):
@@ -74,7 +73,7 @@ class TestVertexCover:
         n = rng.randint(2, 9)
         all_edges = list(combinations(range(n), 2))
         edges = tuple(sorted(rng.sample(all_edges, rng.randint(0, len(all_edges)))))
-        graph = HeadGraph(AtomSet.of(range(n)), edges)
+        graph = edges
         cover = vertex_cover_bounded(graph, k)
         if cover is None:
             assert not support.has_cover_of_size(edges, k)
@@ -169,14 +168,14 @@ class TestDisconnectedDifferential:
     def test_matches_exhaustive_minimum(self, seed):
         p = self.random_disconnected_program(random.Random(seed))
         graph = head_dependency_graph(p)
-        minimum = support.exhaustive_min_vertex_cover(graph.edges)
+        minimum = support.exhaustive_min_vertex_cover(graph)
         assert find_backdoor(p).k == minimum
         for k in range(minimum - 2, minimum + 2):
             cover = vertex_cover_bounded(graph, k)
             assert (cover is None) == (k < minimum)
             if cover is not None:
                 assert len(cover) <= k
-                assert all(u in cover or v in cover for u, v in graph.edges)
+                assert all(u in cover or v in cover for u, v in graph)
 
 
 class TestDeleteAtoms:
@@ -273,7 +272,7 @@ class TestFindBackdoor:
         assert backdoor is not None and backdoor.k == 3
         assert verify_strong_backdoor(p1, backdoor.atoms)
         graph = head_dependency_graph(p1)
-        assert support.exhaustive_min_vertex_cover(graph.edges) == 3
+        assert support.exhaustive_min_vertex_cover(graph) == 3
 
     def test_p1_none_within_two(self, p1):
         assert find_backdoor(p1, max_k=2) is None
@@ -297,7 +296,7 @@ class TestFindBackdoor:
         p = support.random_program(random.Random(seed), max_atoms=8)
         backdoor = find_backdoor(p)
         graph = head_dependency_graph(p)
-        assert backdoor.k == support.exhaustive_min_vertex_cover(graph.edges)
+        assert backdoor.k == support.exhaustive_min_vertex_cover(graph)
 
 
 class TestContainmentProperty:

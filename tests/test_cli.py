@@ -1,4 +1,5 @@
 import argparse
+import os
 import time
 
 import pytest
@@ -135,11 +136,15 @@ class TestCheck:
         assert code == 0
         assert out.splitlines()[0] == "answer set: no"
         assert "fails at subset" in out
+        # Pinned (detected backdoor a, c, h): the first failing subset.
+        assert out.splitlines() == ["answer set: no", "fails at subset 3 {c}"]
 
     def test_non_model(self, capsys, p1_file):
         code, out, _ = run(capsys, "check", p1_file, "--model", "a")
         assert code == 0
         assert "not a model of its reduct" in out
+        assert out.splitlines() == ["answer set: no",
+                                    "not a model of its reduct"]
 
     def test_unknown_atom(self, capsys, p1_file):
         code, _, err = run(capsys, "check", p1_file, "--model", "zz")
@@ -187,10 +192,14 @@ class TestEncode:
 
     @pytest.mark.parametrize("out, map_", [("p1.lp", None),
                                             ("q.cnf", "q.cnf"),
-                                            ("q.cnf", "p1.lp")])
+                                            ("q.cnf", "p1.lp"),
+                                            ("hard.lp", None),
+                                            ("q.cnf", "hard.lp")])
     def test_same_path_writes_nothing(self, capsys, p1_file, tmp_path,
                                       monkeypatch, out, map_):
         monkeypatch.chdir(tmp_path)
+        if "hard.lp" in (out, map_):  # a second name for p1.lp
+            os.link("p1.lp", "hard.lp")
         (tmp_path / "q.cnf").write_text("keep\n")
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         argv = ["encode", p1_file, "--mode", "brave", "--atom", "b",

@@ -188,7 +188,7 @@ class TestFMinBlock:
         block = build_f_min_block(p1, x, AtomSet(0), 1, vt)
         assert evaluate(block, assignment)
         outcome = mincheck(p1, m, x, AtomSet(0))
-        assert "a" in outcome.fired
+        assert "a" in outcome
 
     def test_block_truth_equals_mincheck(self):
         rng = random.Random(41)
@@ -207,7 +207,7 @@ class TestFMinBlock:
                     assignment = support.block_assignment(p, x, xi, i, vt, m)
                     block = build_f_min_block(p, x, xi, i, vt)
                     assert evaluate(block, assignment) == \
-                        mincheck(p, m, x, xi).returned_true
+                        bool(mincheck(p, m, x, xi))
 
 
 class TestBuildQuery:

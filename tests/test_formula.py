@@ -4,9 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdnsat.formula import (FALSE, TRUE, And, CnfFormula, Const, Iff, Not,
-                            Or, Var, conj, disj, evaluate, iff, imp, neg,
-                            node_count, tseitin_cnf, variables)
+from bdnsat.formula import (And, CnfFormula, Iff, Not, Or, Var, conj, disj,
+                            evaluate, iff, imp, neg, node_count, tseitin_cnf,
+                            variables)
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
 from support import dimacs_text
 
@@ -15,7 +15,7 @@ def random_formula(rng: random.Random, n_vars: int, depth: int):
     if depth == 0 or rng.random() < 0.3:
         pick = rng.random()
         if pick < 0.1:
-            return Const(rng.random() < 0.5)
+            return rng.random() < 0.5
         return Var(rng.randint(1, n_vars))
     kind = rng.choice(["and", "or", "not", "imp", "iff"])
     sub = lambda: random_formula(rng, n_vars, depth - 1)
@@ -38,27 +38,27 @@ def truth_table_satisfiable(formula, n_vars: int) -> bool:
 
 class TestConstructors:
     def test_conj_folding(self):
-        assert conj([]) == TRUE
-        assert conj([TRUE, TRUE]) == TRUE
-        assert conj([Var(1), FALSE]) == FALSE
-        assert conj([Var(1), TRUE]) == Var(1)
+        assert conj([]) is True
+        assert conj([True, True]) is True
+        assert conj([Var(1), False]) is False
+        assert conj([Var(1), True]) == Var(1)
         assert conj([Var(1), Var(2)]) == And((Var(1), Var(2)))
 
     def test_disj_folding(self):
-        assert disj([]) == FALSE
-        assert disj([FALSE]) == FALSE
-        assert disj([Var(1), TRUE]) == TRUE
-        assert disj([FALSE, Var(2)]) == Var(2)
+        assert disj([]) is False
+        assert disj([False]) is False
+        assert disj([Var(1), True]) is True
+        assert disj([False, Var(2)]) == Var(2)
         assert disj([Var(1), Var(2)]) == Or((Var(1), Var(2)))
 
     def test_neg_imp_iff_folding(self):
-        assert neg(TRUE) == FALSE
+        assert neg(True) is False
         assert neg(Not(Var(1))) == Var(1)
-        assert imp(TRUE, Var(1)) == Var(1)
-        assert imp(FALSE, Var(1)) == TRUE
-        assert imp(Var(1), FALSE) == Not(Var(1))
-        assert iff(Var(1), TRUE) == Var(1)
-        assert iff(FALSE, Var(1)) == Not(Var(1))
+        assert imp(True, Var(1)) == Var(1)
+        assert imp(False, Var(1)) is True
+        assert imp(Var(1), False) == Not(Var(1))
+        assert iff(Var(1), True) == Var(1)
+        assert iff(False, Var(1)) == Not(Var(1))
 
     def test_imp_truth_table(self):
         for p, c in [(Var(1), Var(2)), (Not(Var(1)), Var(2)),
@@ -84,15 +84,34 @@ class TestConstructors:
         f = And((Var(1), Not(Var(2))))
         assert node_count(f) == 4
         assert variables(f) == {1, 2}
-        # Iff(Not(And(v1, Or(v2, v3))), Or(v1, Not(v4), Const)):
+        # Iff(Not(And(v1, Or(v2, v3))), Or(v1, Not(v4), True)):
         # 1 Iff + 1 Not + 1 And + 1 v1 + 1 Or + 2 (v2, v3)
-        # + 1 Or + 1 v1 + 1 Not + 1 v4 + 1 Const = 12 occurrences.
+        # + 1 Or + 1 v1 + 1 Not + 1 v4 + 1 True = 12 occurrences.
         f = Iff(Not(And((Var(1), Or((Var(2), Var(3)))))),
-                Or((Var(1), Not(Var(4)), TRUE)))
+                Or((Var(1), Not(Var(4)), True)))
         assert node_count(f) == 12
         assert variables(f) == {1, 2, 3, 4}
         assert node_count(Var(5)) == 1
-        assert variables(TRUE) == set()
+        assert variables(True) == set()
+
+
+class TestBoolLeaves:
+    def test_int_is_not_a_formula(self):
+        with pytest.raises(TypeError):
+            evaluate(1, {})
+        with pytest.raises(TypeError):
+            tseitin_cnf(1, 1)
+
+    def test_folding_returns_bools(self):
+        assert disj([True, Var(1)]) is True
+        assert neg(False) is True
+
+    def test_true_and_false_below_root_share_one_label(self):
+        cnf = tseitin_cnf(Or((True, False, Var(1))), 1)
+        # x1, the shared true label 2, the Or label 3
+        assert cnf.n_vars == 3
+        assert cnf.clauses == [(2,), (3, -2), (3, 2), (3, -1), (-3, 2, -2, 1),
+                               (3,)]
 
 
 class TestCnfInvariants:
@@ -130,15 +149,15 @@ class TestTseitin:
         assert solve(cnf, SolverConfig()).status == SAT
 
     def test_constant_false_unsat(self):
-        cnf = tseitin_cnf(FALSE, 2)
+        cnf = tseitin_cnf(False, 2)
         assert solve(cnf, SolverConfig()).status == UNSAT
 
     def test_constants_below_root_share_one_true_variable(self):
-        cnf = tseitin_cnf(And((Const(True), Not(Const(False)), Var(1))), 1)
+        cnf = tseitin_cnf(And((True, Not(False), Var(1))), 1)
         assert cnf.n_vars == 3  # x1, the shared true variable, the And label
         assert (2,) in cnf.clauses
         assert solve(cnf, SolverConfig()).status == SAT
-        cnf = tseitin_cnf(Or((Const(False), Const(False))), 1)
+        cnf = tseitin_cnf(Or((False, False)), 1)
         assert cnf.n_vars == 3
         assert solve(cnf, SolverConfig()).status == UNSAT
 

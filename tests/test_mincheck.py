@@ -79,34 +79,34 @@ class TestMinCheck:
     def test_empty_subset_fires_constraint_condition(self, p1_setup):
         p1, m, x = p1_setup
         outcome = mincheck(p1, m, x, AtomSet(0))
-        assert outcome.returned_true
-        assert "a" in outcome.fired
+        assert outcome
+        assert "a" in outcome
 
     def test_subset_c_fires_proper_subset_condition(self, p1_setup):
         p1, m, x = p1_setup
         outcome = mincheck(p1, m, x, p1.atom_set(["c"]))
-        assert outcome.returned_true
-        assert "c" in outcome.fired
+        assert outcome
+        assert "c" in outcome
 
     def test_subset_bc_fires_proper_subset_condition(self, p1_setup):
         p1, m, x = p1_setup
         outcome = mincheck(p1, m, x, p1.atom_set(["b", "c"]))
-        assert outcome.returned_true
-        assert outcome.fired == ("c",)
+        assert outcome
+        assert outcome == ("c",)
 
     def test_subset_h_fires_step_one(self, p1_setup):
         p1, m, x = p1_setup
         outcome = mincheck(p1, m, x, p1.atom_set(["h"]))
-        assert outcome.returned_true
-        assert outcome.fired == ("1",)
+        assert outcome
+        assert outcome == ("1",)
 
     def test_false_for_nonminimal_model(self, p1):
         # N = {a,b,c,g} is a model of its reduct but not a minimal one
         n = p1.atom_set(["a", "b", "c", "g"])
         x = p1.atom_set(["b", "c", "h"])
         outcome = mincheck(p1, n, x, p1.atom_set(["c"]))
-        assert not outcome.returned_true
-        assert outcome.fired == ()
+        assert not outcome
+        assert outcome == ()
 
     def test_rejects_non_model(self, p1):
         with pytest.raises(ValueError):
@@ -169,8 +169,8 @@ class TestIsAnswerSet:
         result = is_answer_set(p1, n, x)
         assert not result.is_answer_set
         idx = result.first_failure
-        assert all(o.returned_true for o in result.outcomes[:idx])
-        assert not result.outcomes[idx].returned_true
+        assert all(result.outcomes[:idx])
+        assert not result.outcomes[idx]
 
     def test_backdoor_guard(self, p1):
         p = parse_program("".join(f"a{i}.\n" for i in range(22)))
