@@ -45,6 +45,11 @@ class VarTable:
         offset = ((block - 1) * (self.p + 1) + layer) * self.n_atoms
         return Var(self.n_atoms + offset + atom_id + 1)
 
+    def layers(self, block: int) -> list[list[Var]]:
+        """The u variables of one block, indexed [layer][atom]."""
+        return [[self.u(block, layer, a) for a in range(self.n_atoms)]
+                for layer in range(self.p + 1)]
+
     @property
     def n_reserved(self) -> int:
         return self.first_aux - 1
@@ -53,10 +58,9 @@ class VarTable:
         table = self.program.table
         out = {a + 1: f"v {table.name_of(a)}" for a in range(self.n_atoms)}
         for block in range(1, self.n_blocks + 1):
-            for layer in range(self.p + 1):
-                for a in range(self.n_atoms):
-                    out[self.u(block, layer, a).id] = \
-                        f"u {block} {layer} {table.name_of(a)}"
+            for layer, row in enumerate(self.layers(block)):
+                for a, var in enumerate(row):
+                    out[var.id] = f"u {block} {layer} {table.name_of(a)}"
         return out
 
 
@@ -84,14 +88,16 @@ def build_f_mod(program: Program, vt: VarTable) -> Formula:
     return conj(parts)
 
 
-def build_f_lm_block(restricted: Program, block: int, vt: VarTable) -> Formula:
+def build_f_lm_block(restricted: Program, layers: list[list[Var]],
+                     vt: VarTable) -> Formula:
     """Layered least-model simulation for one backdoor subset.
 
-    `restricted` is the program restricted to that subset (restrict_program).
-    Layer 0 is all-false; layer j derives an atom if it was already derived
-    or some restricted rule with that head fires, its positive body read at
-    layer j-1 and its negative body checked against the v variables (the
-    symbolic GL reduct).  After p layers the fixpoint is reached.
+    `restricted` is the program restricted to that subset (restrict_program)
+    and `layers` is its block's u variables (VarTable.layers).  Layer 0 is
+    all-false; layer j derives an atom if it was already derived or some
+    restricted rule with that head fires, its positive body read at layer
+    j-1 and its negative body checked against the v variables (the symbolic
+    GL reduct).  After p layers the fixpoint is reached.
     """
     deriving: dict[int, list] = {a: [] for a in range(vt.n_atoms)}
     for r in restricted.rules:
@@ -101,36 +107,42 @@ def build_f_lm_block(restricted: Program, block: int, vt: VarTable) -> Formula:
         deriving[head_atom].append(r)
     parts = []
     for a in range(vt.n_atoms):
-        parts.append(neg(vt.u(block, 0, a)))
+        parts.append(neg(layers[0][a]))
         for j in range(1, vt.p + 1):
-            firings = [conj([vt.u(block, j - 1, b) for b in r.pos_body]
+            prev = layers[j - 1]
+            firings = [conj([prev[b] for b in r.pos_body]
                             + [neg(vt.v(b)) for b in r.neg_body])
                        for r in deriving[a]]
-            parts.append(iff(vt.u(block, j, a),
-                             disj([vt.u(block, j - 1, a)] + firings)))
+            parts.append(iff(layers[j][a], disj([prev[a]] + firings)))
     return conj(parts)
 
 
 def build_f_min_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
                       vt: VarTable) -> Formula:
-    """Block formula: subset premise fails, or the simulation accepts.
+    """Block formula: F_lm, and the subset premise fails or L is accepted.
 
     The four accept disjuncts state that the simulated least model L (read
     at layer p) breaks a restricted constraint, leaks out of M minus X,
-    makes L union X_i improper in M, or breaks a rule of the reduct.
+    makes L union X_i improper in M, or breaks a rule of the reduct.  The
+    paper puts F_lm under the premise; here it is asserted outside.  F_lm
+    fixes the block's u variables as a function of v, so it holds for
+    exactly one u assignment per v assignment, and the v projections of the
+    models stay the same.  Its `u <-> ...` definitions then become root
+    gate clauses in tseitin_cnf.
     """
     restricted = restrict_program(program, x, xi)
-    up = lambda a: vt.u(block, vt.p, a)
+    layers = vt.layers(block)
+    up = layers[vt.p]
     subset_premise = conj(vt.v(a) for a in xi)
-    f_lm = build_f_lm_block(restricted, block, vt)
+    f_lm = build_f_lm_block(restricted, layers, vt)
     f_a = disj(conj([neg(vt.v(b)) for b in r.neg_body]
-                    + [up(b) for b in r.pos_body])
+                    + [up[b] for b in r.pos_body])
                for r in restricted.rules if not r.head)
-    f_b = disj(conj([neg(vt.v(a)), up(a)])
+    f_b = disj(conj([neg(vt.v(a)), up[a]])
                for a in range(vt.n_atoms) if a not in x)
-    equals_m = conj(vt.v(a) if a in xi else iff(vt.v(a), up(a))
+    equals_m = conj(vt.v(a) if a in xi else iff(vt.v(a), up[a])
                     for a in range(vt.n_atoms))
-    overflows_m = disj(neg(vt.v(a)) if a in xi else conj([up(a), neg(vt.v(a))])
+    overflows_m = disj(neg(vt.v(a)) if a in xi else conj([up[a], neg(vt.v(a))])
                        for a in range(vt.n_atoms))
     f_c = disj([equals_m, overflows_m])
     f_d_parts = []
@@ -139,11 +151,10 @@ def build_f_min_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
             continue
         f_d_parts.append(conj(
             [neg(vt.v(a)) for a in r.neg_body]
-            + [neg(up(a)) for a in r.head]
-            + [up(b) for b in r.pos_body if b not in xi]))
+            + [neg(up[a]) for a in r.head]
+            + [up[b] for b in r.pos_body if b not in xi]))
     f_d = disj(f_d_parts)
-    return disj([neg(subset_premise),
-                 conj([f_lm, disj([f_a, f_b, f_c, f_d])])])
+    return conj([f_lm, disj([neg(subset_premise), f_a, f_b, f_c, f_d])])
 
 
 def build_query(program: Program, x: AtomSet,

@@ -141,24 +141,31 @@ class CnfFormula:
     clauses: list[tuple[int, ...]]
 
     def __post_init__(self):
-        for clause in self.clauses:
-            if not clause:
-                raise ValueError("empty clause")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.n_vars:
-                    raise ValueError(f"literal {lit} out of range")
+        if not all(self.clauses):
+            raise ValueError("empty clause")
+        lits = set().union(*self.clauses)
+        if lits and (0 in lits or max(lits) > self.n_vars
+                     or -min(lits) > self.n_vars):
+            bad = next(lit for clause in self.clauses for lit in clause
+                       if lit == 0 or abs(lit) > self.n_vars)
+            raise ValueError(f"literal {bad} out of range")
 
 
 def tseitin_cnf(formula: Formula, n_reserved: int) -> CnfFormula:
-    """Equisatisfiable CNF with fresh labels for composite subformulas.
+    """Equisatisfiable CNF: gate clauses for the root, labels below it.
 
-    Every model of the CNF restricted to the first n_reserved variables
-    satisfies the formula, and every model of the formula extends to a CNF
-    model.  A constant root gives no clauses (true) or one contradictory
-    pair (false).  A constant below the root, which the folding builders
-    never leave, maps to one shared label forced true by a unit clause.
-    Labels are allocated bottom-up left-to-right, so identical inputs give
-    identical clause lists.
+    The root gets no label: a root And asserts each child (nested root
+    conjunctions flatten), a root Or is one clause of its children's
+    literals, a root Iff(x, G) with G an And or Or is G's gate definition
+    with x's literal as output, any other root Iff is two binary clauses,
+    and anything else a unit clause.  Every composite node below gets a
+    fresh label fixed by its full gate definition, so every model of the
+    CNF restricted to the first n_reserved variables satisfies the formula,
+    and every model of the formula extends to a CNF model.  A constant root
+    gives no clauses (true) or one contradictory pair (false).  A constant
+    below the root, which the folding builders never leave, maps to one
+    shared label forced true by a unit clause.  Labels are allocated in
+    preorder, left to right, so identical inputs give identical clauses.
     """
     clauses: list[tuple[int, ...]] = []
     next_aux = n_reserved + 1
@@ -170,30 +177,27 @@ def tseitin_cnf(formula: Formula, n_reserved: int) -> CnfFormula:
         next_aux += 1
         return aux
 
+    def define(out: int, node: _Nary) -> None:
+        """Clauses for out <-> node: an Or is an And with signs flipped."""
+        lits = [lit_of(c) for c in node.children]
+        sign = 1 if isinstance(node, And) else -1
+        for l in lits:
+            clauses.append((-sign * out, sign * l))
+        clauses.append(tuple([sign * out] + [-sign * l for l in lits]))
+
     def lit_of(node: Formula) -> int:
         nonlocal true_lit
         if isinstance(node, Var):
             return node.id
         if isinstance(node, Not):
             return -lit_of(node.child)
-        if isinstance(node, And):
-            lits = [lit_of(c) for c in node.children]
+        if isinstance(node, _Nary):
             label = fresh()
-            for l in lits:
-                clauses.append((-label, l))
-            clauses.append(tuple([label] + [-l for l in lits]))
-            return label
-        if isinstance(node, Or):
-            lits = [lit_of(c) for c in node.children]
-            label = fresh()
-            for l in lits:
-                clauses.append((label, -l))
-            clauses.append(tuple([-label] + lits))
+            define(label, node)
             return label
         if isinstance(node, Iff):
-            a = lit_of(node.left)
-            b = lit_of(node.right)
             label = fresh()
+            a, b = lit_of(node.left), lit_of(node.right)
             clauses.append((-label, -a, b))
             clauses.append((-label, a, -b))
             clauses.append((label, a, b))
@@ -206,8 +210,22 @@ def tseitin_cnf(formula: Formula, n_reserved: int) -> CnfFormula:
             return true_lit if node else -true_lit
         raise TypeError(f"cannot label {node!r}")
 
+    def holds(node: Formula) -> None:
+        if isinstance(node, And):
+            for child in node.children:
+                holds(child)
+        elif isinstance(node, Or):
+            clauses.append(tuple([lit_of(c) for c in node.children]))
+        elif isinstance(node, Iff) and isinstance(node.right, _Nary):
+            define(lit_of(node.left), node.right)
+        elif isinstance(node, Iff):
+            a, b = lit_of(node.left), lit_of(node.right)
+            clauses.extend([(-a, b), (a, -b)])
+        else:
+            clauses.append((lit_of(node),))
+
     if formula is not True:
-        clauses.append((lit_of(formula),))
+        holds(formula)
     return CnfFormula(next_aux - 1, clauses)
 
 

@@ -85,9 +85,10 @@ def _check_model(cnf: CnfFormula, assignment: dict[int, bool]) -> None:
     for var in range(1, cnf.n_vars + 1):
         if var not in assignment:
             raise SolverError(f"model misses variable {var}")
-    for clause in cnf.clauses:
-        if not any(assignment[abs(l)] == (l > 0) for l in clause):
-            raise SolverError(f"model does not satisfy clause {clause}")
+    true = {var if val else -var for var, val in assignment.items()}
+    unsatisfied = next(filter(true.isdisjoint, cnf.clauses), None)
+    if unsatisfied is not None:
+        raise SolverError(f"model does not satisfy clause {unsatisfied}")
 
 
 # --- internal DPLL ----------------------------------------------------------

@@ -97,7 +97,7 @@ class TestFLm:
         p = parse_program(":- a, b.")
         vt = VarTable(p, AtomSet(0))
         restricted = restrict_program(p, AtomSet(0), AtomSet(0))
-        f_lm = build_f_lm_block(restricted, 1, vt)
+        f_lm = build_f_lm_block(restricted, vt.layers(1), vt)
         for v_bits in product([False, True], repeat=2):
             assignment = {vt.v(a).id: v_bits[a] for a in range(2)}
             for layer in range(vt.p + 1):
@@ -113,7 +113,8 @@ class TestFLm:
         vt = VarTable(p1, x)
         m = p1.atom_set(["b", "c", "g"])
         assignment = support.block_assignment(p1, x, AtomSet(0), 1, vt, m)
-        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
+        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)),
+                                vt.layers(1), vt)
         assert evaluate(f_lm, assignment)
         expected = p1.atom_set(["a", "g"])
         for a in range(vt.n_atoms):
@@ -124,7 +125,8 @@ class TestFLm:
         vt = VarTable(p1, x)
         m = p1.atom_set(["b", "c", "g"])
         assignment = support.block_assignment(p1, x, AtomSet(0), 1, vt, m)
-        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
+        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)),
+                                vt.layers(1), vt)
         for var in sorted(variables(f_lm) - {vt.v(a).id for a in range(7)}):
             flipped = dict(assignment)
             flipped[var] = not flipped[var]
@@ -141,7 +143,8 @@ class TestFLm:
             m = AtomSet(rng.getrandbits(len(p.table)) & p.atoms.mask)
             for i, xi in enumerate(subsets, start=1):
                 assignment = support.block_assignment(p, x, xi, i, vt, m)
-                f_lm = build_f_lm_block(restrict_program(p, x, xi), i, vt)
+                f_lm = build_f_lm_block(restrict_program(p, x, xi),
+                                        vt.layers(i), vt)
                 assert evaluate(f_lm, assignment)
                 reduct = gl_reduct(p, m)
                 expected = least_model(restrict_program(reduct, x, xi))
@@ -152,7 +155,8 @@ class TestFLm:
     def test_functional_determination(self, p1):
         x = p1.atom_set(["b", "c", "h"])
         vt = VarTable(p1, x)
-        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
+        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)),
+                                vt.layers(1), vt)
         m = p1.atom_set(["b", "c", "g"])
         units = [(vt.v(a).id if a in m else -vt.v(a).id,)
                  for a in range(vt.n_atoms)]
@@ -168,17 +172,21 @@ class TestFLm:
 
 class TestFMinBlock:
     def test_subset_premise_failure_satisfies_block(self, p1):
+        # F_lm stays asserted when the premise fails: the block holds under
+        # the simulated u values, and no longer once any layer-p bit differs.
         x = p1.atom_set(["b", "c", "h"])
         vt = VarTable(p1, x)
         xi = p1.atom_set(["h"])  # block 5 in counter order
         block = build_f_min_block(p1, x, xi, 5, vt)
         m = p1.atom_set(["b", "c", "g"])  # h false
+        assert p1.table.id_of("h") not in m
         assignment = support.block_assignment(p1, x, xi, 5, vt, m)
-        garbage = dict(assignment)
-        for a in range(vt.n_atoms):
-            garbage[vt.u(5, vt.p, a).id] = bool(a % 2)
         assert evaluate(block, assignment)
-        assert evaluate(block, garbage)
+        for a in range(vt.n_atoms):
+            flipped = dict(assignment)
+            var = vt.u(5, vt.p, a).id
+            flipped[var] = not assignment[var]
+            assert not evaluate(block, flipped)
 
     def test_known_model_fires_constraint_disjunct(self, p1):
         x = p1.atom_set(["b", "c", "h"])
@@ -254,8 +262,31 @@ class TestBuildQuery:
         x = p1.atom_set(["b", "c", "h"])
         formula, vt = build_query(p1, x, QuerySpec("brave", "b"))
         cnf = tseitin_cnf(formula, vt.n_reserved)
-        assert node_count(formula) == 1903
-        assert (cnf.n_vars, len(cnf.clauses)) == (1041, 2639)
+        assert node_count(formula) == 1888
+        assert (cnf.n_vars, len(cnf.clauses)) == (573, 1326)
+
+    def test_v_fixes_the_whole_cnf_model(self, p1):
+        # Every label and u variable is a function of v: a brave model is
+        # the only one with its v values.
+        rng = random.Random(3)
+        programs = [p1] + [parse_program(support.random_program_source(rng))
+                           for _ in range(40)]
+        sat_queries = 0
+        for p in programs:
+            x = find_backdoor(p).atoms
+            for name in p.atom_names(p.atoms):
+                result, vt, cnf = solve_query(p, x, "brave", name)
+                if result.status != SAT:
+                    continue
+                sat_queries += 1
+                model = result.assignment
+                units = [(v if model[v] else -v,)
+                         for v in (vt.v(a).id for a in range(vt.n_atoms))]
+                blocking = tuple(-v if model[v] else v
+                                 for v in range(1, cnf.n_vars + 1))
+                cnf.clauses.extend(units + [blocking])
+                assert solve(cnf, SolverConfig()).status == UNSAT
+        assert sat_queries == 57
 
     def test_unverified_backdoor_rejected(self, p1):
         with pytest.raises(ValueError):

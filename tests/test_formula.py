@@ -108,24 +108,29 @@ class TestBoolLeaves:
 
     def test_true_and_false_below_root_share_one_label(self):
         cnf = tseitin_cnf(Or((True, False, Var(1))), 1)
-        # x1, the shared true label 2, the Or label 3
-        assert cnf.n_vars == 3
-        assert cnf.clauses == [(2,), (3, -2), (3, 2), (3, -1), (-3, 2, -2, 1),
-                               (3,)]
+        # x1 and the shared true label 2; the root Or is one clause
+        assert cnf.n_vars == 2
+        assert cnf.clauses == [(2,), (2, -2, 1)]
 
 
 class TestCnfInvariants:
     def test_rejects_empty_clause(self):
         with pytest.raises(ValueError):
             CnfFormula(1, [()])
+        with pytest.raises(ValueError, match="empty clause"):
+            CnfFormula(2, [(1,), (-2,), ()])
 
     def test_rejects_zero_literal(self):
         with pytest.raises(ValueError):
             CnfFormula(1, [(0,)])
+        with pytest.raises(ValueError, match="literal 0 out of range"):
+            CnfFormula(2, [(1, -2), (2, 0)])
 
     def test_rejects_out_of_range_literal(self):
         with pytest.raises(ValueError):
             CnfFormula(1, [(2,)])
+        with pytest.raises(ValueError, match="literal -2 out of range"):
+            CnfFormula(1, [(1,), (-2,)])
 
 
 class TestTseitin:
@@ -136,8 +141,34 @@ class TestTseitin:
 
     def test_implication_gate(self):
         cnf = tseitin_cnf(imp(Var(1), Var(2)), 2)
+        assert cnf.n_vars == 2
+        assert cnf.clauses == [(-1, 2)]
+
+    def test_root_iff_of_or_is_its_gate(self):
+        cnf = tseitin_cnf(Iff(Var(3), Or((Var(1), Var(2)))), 3)
         assert cnf.n_vars == 3
-        assert set(cnf.clauses) == {(3, 1), (3, -2), (-3, -1, 2), (3,)}
+        assert cnf.clauses == [(3, -1), (3, -2), (-3, 1, 2)]
+
+    def test_root_iff_of_and_is_its_gate(self):
+        cnf = tseitin_cnf(Iff(Var(3), And((Var(1), Not(Var(2))))), 3)
+        assert cnf.n_vars == 3
+        assert cnf.clauses == [(-3, 1), (-3, -2), (3, -1, 2)]
+
+    def test_root_or_is_one_clause(self):
+        cnf = tseitin_cnf(Or((Var(1), Not(Var(2)), Var(3))), 3)
+        assert cnf.n_vars == 3
+        assert cnf.clauses == [(1, -2, 3)]
+
+    def test_nested_root_and_is_flattened(self):
+        cnf = tseitin_cnf(And((Var(1), And((Not(Var(2)), Var(3))))), 3)
+        assert cnf.n_vars == 3
+        assert cnf.clauses == [(1,), (-2,), (3,)]
+
+    def test_iff_below_an_or_gets_a_label(self):
+        cnf = tseitin_cnf(Or((Iff(Var(1), Var(2)), Var(3))), 3)
+        assert cnf.n_vars == 4
+        assert cnf.clauses == [(-4, -1, 2), (-4, 1, -2), (4, 1, 2),
+                               (4, -1, -2), (4, 3)]
 
     def test_contradiction_unsat(self):
         cnf = tseitin_cnf(And((Var(1), Not(Var(1)))), 1)
@@ -154,11 +185,11 @@ class TestTseitin:
 
     def test_constants_below_root_share_one_true_variable(self):
         cnf = tseitin_cnf(And((True, Not(False), Var(1))), 1)
-        assert cnf.n_vars == 3  # x1, the shared true variable, the And label
+        assert cnf.n_vars == 2  # x1 and the shared true variable
         assert (2,) in cnf.clauses
         assert solve(cnf, SolverConfig()).status == SAT
         cnf = tseitin_cnf(Or((False, False)), 1)
-        assert cnf.n_vars == 3
+        assert cnf.n_vars == 2
         assert solve(cnf, SolverConfig()).status == UNSAT
 
     def test_deterministic_output(self):

@@ -8,8 +8,8 @@ import pytest
 
 from bdnsat.formula import CnfFormula
 from bdnsat.solver import (MAX_TIMEOUT, SAT, UNKNOWN, UNSAT, SatResult,
-                           SolverConfig, SolverError, parse_solver_output,
-                           solve)
+                           SolverConfig, SolverError, _check_model,
+                           parse_solver_output, solve)
 
 
 def cnf(n, clauses):
@@ -130,6 +130,17 @@ class TestInternal:
             SatResult(SAT, None)
         with pytest.raises(ValueError):
             SatResult(UNSAT, {1: True})
+
+
+class TestModelCheck:
+    def test_missing_variable_rejected(self):
+        with pytest.raises(SolverError, match="misses variable 2"):
+            _check_model(cnf(2, [(1, 2)]), {1: True})
+
+    def test_one_unsatisfied_clause_among_satisfied_rejected(self):
+        formula = cnf(3, [(1, 2), (-1, 3), (2, -3), (-2, 3)])
+        with pytest.raises(SolverError, match=r"clause \(2, -3\)"):
+            _check_model(formula, {1: True, 2: False, 3: True})
 
 
 class TestConfig:
