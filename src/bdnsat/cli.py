@@ -18,15 +18,16 @@ from .encoding import QuerySpec, build_query, decode_model, write_var_map
 from .formula import emit_dimacs, tseitin_cnf
 from .mincheck import is_answer_set
 from .program import AtomSet, ParseError, Program, parse_program
-from .solver import (DEFAULT_TIMEOUT, MAX_TIMEOUT, SAT, SOLVER_ENV_VAR, UNSAT,
-                     SolverConfig, SolverError, solve as solve_cnf,
-                     valid_timeout)
+from .solver import (DEFAULT_TIMEOUT, MAX_TIMEOUT, SAT, UNSAT, SolverConfig,
+                     SolverError, solve as solve_cnf, valid_timeout)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_YES = 10
 EXIT_NO = 20
 EXIT_UNKNOWN = 30
+
+SOLVER_ENV_VAR = "BDNSAT_SOLVER"  # names an external solver; beats --solver
 
 
 def _load(path: str) -> Program:

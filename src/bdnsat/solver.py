@@ -1,12 +1,11 @@
 """SAT solving: a built-in DPLL for hermetic runs, or an external process.
 
 The internal solver is deliberately plain (unit propagation through watched
-literals, no preprocessing beyond dropping duplicate literals and tautologies,
-chronological backtracking, no clause learning); it exists so the pipeline
-and tests run without any system solver.  It reports decision, conflict and
-propagation counts; external results leave them at 0.  External solvers are
-invoked as ``<exe> <cnf-file>`` and read back in SAT-competition output
-format.
+literals on the clauses as given, chronological backtracking, no clause
+learning); it exists so the pipeline and tests run without any system
+solver.  It reports decision, conflict and propagation counts; external
+results leave them at 0.  External solvers are invoked as
+``<exe> <cnf-file>`` and read back in SAT-competition output format.
 """
 from __future__ import annotations
 
@@ -16,11 +15,9 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from operator import neg
 
 from .formula import CnfFormula, emit_dimacs
 
-SOLVER_ENV_VAR = "BDNSAT_SOLVER"
 DEFAULT_TIMEOUT = 60.0
 MAX_TIMEOUT = 1e6  # seconds; subprocess waits overflow near 2.1e6 s on Linux
 
@@ -63,15 +60,9 @@ class SolverConfig:
             raise ValueError(f"timeout must be > 0 and <= {MAX_TIMEOUT:.0f}, "
                              f"got {self.timeout!r}")
 
-    @classmethod
-    def from_environment(cls) -> "SolverConfig":
-        return cls(os.environ.get(SOLVER_ENV_VAR))
 
-
-def solve(cnf: CnfFormula, config: SolverConfig | None = None) -> SatResult:
+def solve(cnf: CnfFormula, config: SolverConfig) -> SatResult:
     """Run the configured solver and verify any model returned."""
-    if config is None:
-        config = SolverConfig.from_environment()
     if config.executable:
         result = _solve_external(cnf, config)
     else:
@@ -96,6 +87,13 @@ def _check_model(cnf: CnfFormula, assignment: dict[int, bool]) -> None:
 def _solve_internal(cnf: CnfFormula, timeout: float) -> SatResult:
     """Watched-literal DPLL; each clause's first two literals are watched.
 
+    Clauses are watched as given.  A clause turns false only when its last
+    non-false literal does, which is watched (maybe in both slots), so the
+    conflict is found; a tautology never propagates or conflicts.  Copies
+    of one last literal wait for the conflict (``(1, 2, 1)`` after ``-2``);
+    the search stays sound (models pass ``_check_model``) and complete
+    (backtracking is chronological).
+
     ``value`` and ``watches`` are indexed by literal: a negative literal
     indexes from the end of a list of length ``2n + 1``.
     """
@@ -105,14 +103,10 @@ def _solve_internal(cnf: CnfFormula, timeout: float) -> SatResult:
     watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
     units = []
     for clause in cnf.clauses:
-        lits = set(clause)
-        if not lits.isdisjoint(map(neg, clause)):
-            continue  # tautological clause
-        clause = (list(clause) if len(lits) == len(clause)
-                  else list(dict.fromkeys(clause)))
         if len(clause) == 1:
             units.append(clause[0])
         else:
+            clause = list(clause)
             watches[clause[0]].append(clause)
             watches[clause[1]].append(clause)
 
@@ -220,7 +214,10 @@ def parse_solver_output(stdout: str, n_vars: int) -> tuple[str, dict[int, bool] 
     assignment: dict[int, bool] = {}
     for line in _VALUE_RE.findall(stdout):
         for token in line.split():
-            lit = int(token)
+            try:
+                lit = int(token)
+            except ValueError:
+                raise SolverError(f"solver printed a bad value {token!r}") from None
             if lit == 0:
                 continue
             assignment[abs(lit)] = lit > 0

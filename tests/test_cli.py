@@ -259,6 +259,18 @@ class TestSolve:
         assert code == 30
         assert out.startswith("unknown")
 
+    def test_bad_model_value_is_error(self, capsys, p1_file, monkeypatch,
+                                      tmp_path):
+        exe = tmp_path / "bad_value"
+        exe.write_text('#!/bin/sh\necho "s SATISFIABLE"\necho "v 1 abc 0"\n')
+        exe.chmod(0o755)
+        monkeypatch.setenv("BDNSAT_SOLVER", str(exe))
+        code, out, err = run(capsys, "solve", p1_file, "--mode", "brave",
+                             "--atom", "b")
+        assert code == 1
+        assert out == ""
+        assert err == "error: solver printed a bad value 'abc'\n"
+
     def test_subset_guard_fails_fast(self, capsys, tmp_path):
         # detection of the 25-atom backdoor must not delay the 2^20 guard
         path = tmp_path / "pairs.lp"

@@ -90,7 +90,7 @@ class TestInternal:
 
     def test_wide_clauses_match_truth_table(self):
         # widths up to 6 make watches move; duplicate and complementary
-        # literals exercise clause normalisation
+        # literals reach the watch lists as given
         rng = random.Random(2024)
         for _ in range(300):
             n = rng.randint(1, 12)
@@ -117,6 +117,22 @@ class TestInternal:
 
     def test_duplicate_literal_clause_against_unit(self):
         assert solve(cnf(2, [(2, 2), (-2,)]), SolverConfig()).status == UNSAT
+
+    # clauses are watched as given: (status, model, decisions, conflicts,
+    # propagations) for repeated and complementary literals
+    @pytest.mark.parametrize("clauses, expected", [
+        # the repeated literal fills both watch slots and still implies 2
+        ([(-1, -1, 2), (1,), (-2,)], (UNSAT, None, 0, 1, 2)),
+        # after -2 both watches hold 1, so 1 is not implied; -1 conflicts
+        ([(1, 2, 1), (-2,), (-1,)], (UNSAT, None, 0, 1, 1)),
+        ([(1, 2, 1), (-2,)], (SAT, {1: True, 2: False}, 1, 0, 1)),
+        ([(1, -1, 2), (-2,)], (SAT, {1: True, 2: False}, 1, 0, 1)),
+        ([(1, -1), (2,), (-2,)], (UNSAT, None, 0, 1, 1)),
+    ])
+    def test_unnormalised_clauses(self, clauses, expected):
+        result = solve(cnf(2, clauses), SolverConfig())
+        assert (result.status, result.assignment, result.decisions,
+                result.conflicts, result.propagations) == expected
 
     def test_timeout_is_unknown(self):
         start = time.monotonic()
@@ -191,6 +207,10 @@ class TestOutputParsing:
 
     def test_garbage_is_unknown(self):
         assert parse_solver_output("whatever\n", 1) == (UNKNOWN, None)
+
+    def test_bad_value_names_the_token(self):
+        with pytest.raises(SolverError, match="solver printed a bad value 'abc'"):
+            parse_solver_output("s SATISFIABLE\nv 1 abc 0\n", 2)
 
 
 def _write_script(tmp_path, name, body):
@@ -285,9 +305,10 @@ class TestExternal:
         with pytest.raises(SolverError):
             solve(cnf(1, [(-1,)]), SolverConfig(exe))
 
-    def test_from_environment(self, monkeypatch, stub_solver):
-        monkeypatch.setenv("BDNSAT_SOLVER", stub_solver)
-        config = SolverConfig.from_environment()
-        assert config.executable == stub_solver
-        monkeypatch.delenv("BDNSAT_SOLVER")
-        assert SolverConfig.from_environment().executable is None
+    def test_environment_is_ignored(self, monkeypatch, tmp_path):
+        # only the CLI reads BDNSAT_SOLVER; the library solves as configured
+        exe = _write_script(tmp_path, "says_unsat",
+                            'echo "s UNSATISFIABLE"\n')
+        monkeypatch.setenv("BDNSAT_SOLVER", exe)
+        result = solve(cnf(1, [(1,)]), SolverConfig())
+        assert (result.status, result.assignment) == (SAT, {1: True})
