@@ -13,17 +13,15 @@ from dataclasses import dataclass
 from typing import IO, Literal
 
 from .backdoor import verify_strong_backdoor
-from .formula import Formula, Var, conj, disj, iff, imp, neg, CnfFormula
+from .formula import Formula, Not, Var, conj, disj, iff, imp, neg, CnfFormula
 from .mincheck import backdoor_subsets, restrict_program
 from .program import AtomSet, Program
 
 
 class VarTable:
-    """Deterministic variable layout: v vars, then block-strided u vars, then labels.
+    """Variable ids: v vars 1..n, then u vars in build order, then labels.
 
-    v[a] holds 1..n over the atom table; u vars for block i (1-based) and
-    layer j (0..p) follow in one contiguous stride per block, so blocks can
-    be built independently without coordination.
+    new_u hands out each u variable and records its (block, layer, atom) cell.
     """
 
     def __init__(self, program: Program, backdoor_atoms: AtomSet):
@@ -31,36 +29,24 @@ class VarTable:
         self.n_atoms = len(program.table)
         self.p = min(len(program.rules), len(program.table))
         self.n_blocks = 1 << len(backdoor_atoms)
-        self.first_aux = (self.n_atoms
-                          + self.n_blocks * (self.p + 1) * self.n_atoms + 1)
+        self.cells: list[tuple[int, int, int]] = []
 
     def v(self, atom_id: int) -> Var:
         return Var(atom_id + 1)
 
-    def u(self, block: int, layer: int, atom_id: int) -> Var:
-        if not 1 <= block <= self.n_blocks:
-            raise ValueError(f"block {block} out of range")
-        if not 0 <= layer <= self.p:
-            raise ValueError(f"layer {layer} out of range")
-        offset = ((block - 1) * (self.p + 1) + layer) * self.n_atoms
-        return Var(self.n_atoms + offset + atom_id + 1)
-
-    def layers(self, block: int) -> list[list[Var]]:
-        """The u variables of one block, indexed [layer][atom]."""
-        return [[self.u(block, layer, a) for a in range(self.n_atoms)]
-                for layer in range(self.p + 1)]
+    def new_u(self, block: int, layer: int, atom_id: int) -> Var:
+        self.cells.append((block, layer, atom_id))
+        return Var(self.n_reserved)
 
     @property
     def n_reserved(self) -> int:
-        return self.first_aux - 1
+        return self.n_atoms + len(self.cells)
 
     def names(self) -> dict[int, str]:
         table = self.program.table
         out = {a + 1: f"v {table.name_of(a)}" for a in range(self.n_atoms)}
-        for block in range(1, self.n_blocks + 1):
-            for layer, row in enumerate(self.layers(block)):
-                for a, var in enumerate(row):
-                    out[var.id] = f"u {block} {layer} {table.name_of(a)}"
+        for var_id, (block, layer, a) in enumerate(self.cells, self.n_atoms + 1):
+            out[var_id] = f"u {block} {layer} {table.name_of(a)}"
         return out
 
 
@@ -88,33 +74,49 @@ def build_f_mod(program: Program, vt: VarTable) -> Formula:
     return conj(parts)
 
 
-def build_f_lm_block(restricted: Program, layers: list[list[Var]],
-                     vt: VarTable) -> Formula:
-    """Layered least-model simulation for one backdoor subset.
+def build_f_lm_block(restricted: Program, block: int,
+                     vt: VarTable) -> tuple[Formula, list[Formula]]:
+    """Layered least-model simulation for one backdoor subset: (F_lm, last row).
 
-    `restricted` is the program restricted to that subset (restrict_program)
-    and `layers` is its block's u variables (VarTable.layers).  Layer 0 is
-    all-false; layer j derives an atom if it was already derived or some
-    restricted rule with that head fires, its positive body read at layer
-    j-1 and its negative body checked against the v variables (the symbolic
-    GL reduct).  After p layers the fixpoint is reached.
+    `restricted` is the program restricted to that subset (restrict_program).
+    A layer is a row of formulas, one per atom.  Layer 0 is all false; layer
+    j derives an atom if it was already derived or some restricted rule with
+    that head fires, its positive body read at layer j-1 and its negative
+    body checked against the v variables (the symbolic GL reduct).  Layer p
+    is the fixpoint.  A cell gets a u variable, defined by `u <-> cell`,
+    only if it is new:
+    - a constant or literal cell equals the gate it would have defined;
+    - if an atom's firings equal, structurally, the list that last changed
+      its cell, that cell already implies them, and layer values grow with
+      j, so the cell at layer j is the one at j-1;
+    - a layer equal to the one before it is the fixpoint, so the loop stops.
+    Every u is defined over v and earlier cells, so v fixes every u.  In a
+    negation-free program every firing folds to a constant and no u is made.
     """
     deriving: dict[int, list] = {a: [] for a in range(vt.n_atoms)}
     for r in restricted.rules:
-        if not r.head:
-            continue
-        (head_atom,) = tuple(r.head)
-        deriving[head_atom].append(r)
+        if r.head:
+            (head_atom,) = r.head
+            deriving[head_atom].append(r)
+    row, last = [False] * vt.n_atoms, [None] * vt.n_atoms
     parts = []
-    for a in range(vt.n_atoms):
-        parts.append(neg(layers[0][a]))
-        for j in range(1, vt.p + 1):
-            prev = layers[j - 1]
+    for j in range(1, vt.p + 1):
+        prev, row = row, list(row)
+        for a in range(vt.n_atoms):
             firings = [conj([prev[b] for b in r.pos_body]
                             + [neg(vt.v(b)) for b in r.neg_body])
                        for r in deriving[a]]
-            parts.append(iff(layers[j][a], disj([prev[a]] + firings)))
-    return conj(parts)
+            if firings == last[a]:
+                continue
+            last[a] = firings
+            row[a] = disj([prev[a]] + firings)
+            if not isinstance(row[a], (bool, Var, Not)):
+                u = vt.new_u(block, j, a)
+                parts.append(iff(u, row[a]))
+                row[a] = u
+        if row == prev:
+            break
+    return conj(parts), row
 
 
 def build_f_min_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
@@ -131,10 +133,8 @@ def build_f_min_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
     gate clauses in tseitin_cnf.
     """
     restricted = restrict_program(program, x, xi)
-    layers = vt.layers(block)
-    up = layers[vt.p]
     subset_premise = conj(vt.v(a) for a in xi)
-    f_lm = build_f_lm_block(restricted, layers, vt)
+    f_lm, up = build_f_lm_block(restricted, block, vt)
     f_a = disj(conj([neg(vt.v(b)) for b in r.neg_body]
                     + [up[b] for b in r.pos_body])
                for r in restricted.rules if not r.head)
@@ -193,5 +193,5 @@ def write_var_map(vt: VarTable, cnf: CnfFormula, out: IO[str]) -> None:
     for var_id in range(1, vt.n_reserved + 1):
         kind, rest = names[var_id].split(" ", 1)
         out.write(f"{kind} {var_id} {rest}\n")
-    for var_id in range(vt.first_aux, cnf.n_vars + 1):
+    for var_id in range(vt.n_reserved + 1, cnf.n_vars + 1):
         out.write(f"t {var_id}\n")

@@ -376,12 +376,13 @@ def simulate_block_layers(program: Program, x: AtomSet, xi: AtomSet,
 
 def block_assignment(program: Program, x: AtomSet, xi: AtomSet, block: int,
                      vt: VarTable, m: AtomSet) -> dict[int, bool]:
-    """Assignment of all v and block-`block` u variables matching the simulation."""
+    """Assignment of all v variables and of block `block`'s u cells matching
+    the simulation.  Call it after the block is built: it reads vt.cells."""
     layers = simulate_block_layers(program, x, xi, m, vt.p, vt.n_atoms)
     assignment = {vt.v(a).id: a in m for a in range(vt.n_atoms)}
-    for j, mask in enumerate(layers):
-        for a in range(vt.n_atoms):
-            assignment[vt.u(block, j, a).id] = bool(mask >> a & 1)
+    for var_id, (b, j, a) in enumerate(vt.cells, vt.n_atoms + 1):
+        if b == block:
+            assignment[var_id] = bool(layers[j] >> a & 1)
     return assignment
 
 

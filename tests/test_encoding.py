@@ -1,12 +1,12 @@
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
 from bdnsat import (AtomSet, brave_atoms, find_backdoor, gl_reduct,
-                    least_model, mincheck, parse_program, skeptical_atoms)
+                    is_answer_set, least_model, mincheck, parse_program,
+                    skeptical_atoms)
 from bdnsat import encoding
 from bdnsat.encoding import (QuerySpec, VarTable, build_f_lm_block,
                              build_f_min_block, build_f_mod, build_query,
@@ -30,26 +30,21 @@ class TestVarTable:
         vt = VarTable(p1, x)
         assert vt.p == 7  # min(8 rules, 7 atoms)
         assert vt.n_blocks == 8
-        seen = set()
-        for a in range(vt.n_atoms):
-            seen.add(vt.v(a).id)
-        max_v = max(seen)
-        for block in range(1, vt.n_blocks + 1):
-            for layer in range(vt.p + 1):
-                for a in range(vt.n_atoms):
-                    var = vt.u(block, layer, a).id
-                    assert var > max_v
-                    assert var not in seen
-                    seen.add(var)
-        assert vt.first_aux == max(seen) + 1
-        assert len(seen) == vt.n_reserved
-
-    def test_range_checks(self, p1):
-        vt = VarTable(p1, AtomSet(0))
-        with pytest.raises(ValueError):
-            vt.u(2, 0, 0)
-        with pytest.raises(ValueError):
-            vt.u(1, vt.p + 1, 0)
+        assert [vt.v(a).id for a in range(vt.n_atoms)] == list(range(1, 8))
+        defined = []
+        for i, xi in enumerate(backdoor_subsets(p1, x), start=1):
+            before = len(vt.cells)
+            f_lm, _ = build_f_lm_block(restrict_program(p1, x, xi), i, vt)
+            assert all(block == i and 1 <= layer <= vt.p
+                       for block, layer, _ in vt.cells[before:])
+            gates = f_lm.children if isinstance(f_lm, And) else [f_lm]
+            defined += [gate.left.id for gate in gates if gate is not True]
+        # u ids run from n+1 to n+len(cells) in cells order, each defined once
+        assert defined == list(range(vt.n_atoms + 1,
+                                     vt.n_atoms + len(vt.cells) + 1))
+        assert vt.n_reserved == vt.n_atoms + len(vt.cells)
+        assert sorted(vt.names()) == list(range(1, vt.n_reserved + 1))
+        assert 0 < len(vt.cells) <= vt.n_blocks * vt.p * vt.n_atoms
 
 
 class TestFMod:
@@ -97,37 +92,31 @@ class TestFLm:
         p = parse_program(":- a, b.")
         vt = VarTable(p, AtomSet(0))
         restricted = restrict_program(p, AtomSet(0), AtomSet(0))
-        f_lm = build_f_lm_block(restricted, vt.layers(1), vt)
-        for v_bits in product([False, True], repeat=2):
-            assignment = {vt.v(a).id: v_bits[a] for a in range(2)}
-            for layer in range(vt.p + 1):
-                for a in range(2):
-                    assignment[vt.u(1, layer, a).id] = False
-            assert evaluate(f_lm, assignment)
-            one_true = dict(assignment)
-            one_true[vt.u(1, vt.p, 0).id] = True
-            assert not evaluate(f_lm, one_true)
+        f_lm, row = build_f_lm_block(restricted, 1, vt)
+        assert row == [False, False]
+        assert f_lm is True
+        assert vt.cells == []
 
     def test_p1_block_one_derives_a_and_g(self, p1):
         x = p1.atom_set(["b", "c", "h"])
         vt = VarTable(p1, x)
         m = p1.atom_set(["b", "c", "g"])
+        f_lm, up = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
         assignment = support.block_assignment(p1, x, AtomSet(0), 1, vt, m)
-        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)),
-                                vt.layers(1), vt)
         assert evaluate(f_lm, assignment)
         expected = p1.atom_set(["a", "g"])
         for a in range(vt.n_atoms):
-            assert assignment[vt.u(1, vt.p, a).id] == (a in expected)
+            assert evaluate(up[a], assignment) == (a in expected)
 
     def test_flipping_any_u_bit_breaks_the_chain(self, p1):
         x = p1.atom_set(["b", "c", "h"])
         vt = VarTable(p1, x)
         m = p1.atom_set(["b", "c", "g"])
+        f_lm, _ = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
         assignment = support.block_assignment(p1, x, AtomSet(0), 1, vt, m)
-        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)),
-                                vt.layers(1), vt)
-        for var in sorted(variables(f_lm) - {vt.v(a).id for a in range(7)}):
+        u_vars = sorted(variables(f_lm) - {vt.v(a).id for a in range(7)})
+        assert u_vars
+        for var in u_vars:
             flipped = dict(assignment)
             flipped[var] = not flipped[var]
             assert not evaluate(f_lm, flipped)
@@ -142,21 +131,19 @@ class TestFLm:
             subsets = backdoor_subsets(p, x)
             m = AtomSet(rng.getrandbits(len(p.table)) & p.atoms.mask)
             for i, xi in enumerate(subsets, start=1):
+                f_lm, up = build_f_lm_block(restrict_program(p, x, xi), i, vt)
                 assignment = support.block_assignment(p, x, xi, i, vt, m)
-                f_lm = build_f_lm_block(restrict_program(p, x, xi),
-                                        vt.layers(i), vt)
                 assert evaluate(f_lm, assignment)
                 reduct = gl_reduct(p, m)
                 expected = least_model(restrict_program(reduct, x, xi))
                 got = AtomSet.of(a for a in range(vt.n_atoms)
-                                 if assignment[vt.u(i, vt.p, a).id])
+                                 if evaluate(up[a], assignment))
                 assert got == expected
 
     def test_functional_determination(self, p1):
         x = p1.atom_set(["b", "c", "h"])
         vt = VarTable(p1, x)
-        f_lm = build_f_lm_block(restrict_program(p1, x, AtomSet(0)),
-                                vt.layers(1), vt)
+        f_lm, _ = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
         m = p1.atom_set(["b", "c", "g"])
         units = [(vt.v(a).id if a in m else -vt.v(a).id,)
                  for a in range(vt.n_atoms)]
@@ -165,35 +152,101 @@ class TestFLm:
         first = solve(cnf, SolverConfig())
         assert first.status == SAT
         u_vars = sorted(variables(f_lm) - {vt.v(a).id for a in range(7)})
+        assert u_vars
         blocking = tuple(-v if first.assignment[v] else v for v in u_vars)
         cnf.clauses.append(blocking)
         assert solve(cnf, SolverConfig()).status == UNSAT
 
 
+def ring_program(entry: str, n: int):
+    """A positive ring x1 -> ... -> xn -> x1 entered through `entry`."""
+    rules = [entry] + [f"x{i + 1} :- x{i}." for i in range(1, n)]
+    return parse_program("\n".join(rules + [f"x1 :- x{n}."]) + "\n")
+
+
+class TestFoldedLayers:
+    # With k = 0 the ring is entered through `not y`, so its cells fold to
+    # v literals, not to constants, until the ring closes on itself.  With
+    # k = 1 each block restricts `x1 | y.` to a fact or drops it.
+    @pytest.mark.parametrize("entry, k", [("x1 :- not y. y :- not x1.", 0),
+                                          ("x1 | y.", 1)])
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_rings_with_v_dependent_entry(self, entry, k, n):
+        p = ring_program(entry, n)
+        x = find_backdoor(p).atoms
+        assert len(x) == k
+        brave, skeptical = brave_atoms(p), skeptical_atoms(p)
+        for name in p.atom_names(p.atoms):
+            a = p.table.id_of(name)
+            for mode in ("brave", "skeptical"):
+                result, vt, _ = solve_query(p, x, mode, name)
+                if mode == "brave":
+                    assert (result.status == SAT) == (a in brave)
+                else:
+                    assert (result.status == UNSAT) == (a in skeptical)
+                if result.status == SAT:
+                    assert is_answer_set(p, decode_model(result.assignment, vt), x)
+        # the last row is the least model of each restricted reduct
+        vt = VarTable(p, x)
+        for i, xi in enumerate(backdoor_subsets(p, x), start=1):
+            f_lm, up = build_f_lm_block(restrict_program(p, x, xi), i, vt)
+            for mask in support.subsets_of(p.atoms.mask):
+                m = AtomSet(mask)
+                assignment = support.block_assignment(p, x, xi, i, vt, m)
+                assert evaluate(f_lm, assignment)
+                expected = least_model(restrict_program(gl_reduct(p, m), x, xi))
+                assert AtomSet.of(a for a in range(vt.n_atoms)
+                                  if evaluate(up[a], assignment)) == expected
+
+    @pytest.mark.parametrize("program, atom",
+                             [(support.chain_program(30), "x30"),
+                              (support.padded_backdoor_program(3), "sink")],
+                             ids=["chain30", "padded3"])
+    def test_negation_free_programs_make_no_u(self, program, atom):
+        x = find_backdoor(program).atoms
+        vt = VarTable(program, x)
+        for i, xi in enumerate(backdoor_subsets(program, x), start=1):
+            restricted = restrict_program(program, x, xi)
+            f_lm, row = build_f_lm_block(restricted, i, vt)
+            assert f_lm is True
+            assert all(isinstance(cell, bool) for cell in row)
+            assert AtomSet.of(a for a, cell in enumerate(row) if cell) == \
+                least_model(restricted)
+        assert vt.cells == []
+        _, vt = build_query(program, x, QuerySpec("brave", atom))
+        assert vt.n_reserved == vt.n_atoms
+
+
 class TestFMinBlock:
     def test_subset_premise_failure_satisfies_block(self, p1):
         # F_lm stays asserted when the premise fails: the block holds under
-        # the simulated u values, and no longer once any layer-p bit differs.
+        # the simulated u values, and no longer once any u bit differs.
+        # Block 5 (X_i = {h}) folds to v literals and makes no u variable;
+        # block 3 (X_i = {b}) makes one.
         x = p1.atom_set(["b", "c", "h"])
-        vt = VarTable(p1, x)
-        xi = p1.atom_set(["h"])  # block 5 in counter order
-        block = build_f_min_block(p1, x, xi, 5, vt)
-        m = p1.atom_set(["b", "c", "g"])  # h false
-        assert p1.table.id_of("h") not in m
-        assignment = support.block_assignment(p1, x, xi, 5, vt, m)
-        assert evaluate(block, assignment)
-        for a in range(vt.n_atoms):
-            flipped = dict(assignment)
-            var = vt.u(5, vt.p, a).id
-            flipped[var] = not assignment[var]
-            assert not evaluate(block, flipped)
+        for xi_names, i, m_names, n_u in [(["h"], 5, ["b", "c", "g"], 0),
+                                          (["b"], 3, ["a", "c", "g"], 1)]:
+            vt = VarTable(p1, x)
+            xi = p1.atom_set(xi_names)
+            assert backdoor_subsets(p1, x)[i - 1] == xi  # counter order
+            block = build_f_min_block(p1, x, xi, i, vt)
+            m = p1.atom_set(m_names)
+            assert not xi.issubset(m)
+            assignment = support.block_assignment(p1, x, xi, i, vt, m)
+            assert evaluate(block, assignment)
+            u_vars = sorted(variables(block) - {vt.v(a).id for a in range(7)})
+            assert len(u_vars) == n_u
+            for var in u_vars:
+                flipped = dict(assignment)
+                flipped[var] = not assignment[var]
+                assert not evaluate(block, flipped)
 
     def test_known_model_fires_constraint_disjunct(self, p1):
         x = p1.atom_set(["b", "c", "h"])
         vt = VarTable(p1, x)
         m = p1.atom_set(["b", "c", "g"])
-        assignment = support.block_assignment(p1, x, AtomSet(0), 1, vt, m)
         block = build_f_min_block(p1, x, AtomSet(0), 1, vt)
+        assignment = support.block_assignment(p1, x, AtomSet(0), 1, vt, m)
         assert evaluate(block, assignment)
         outcome = mincheck(p1, m, x, AtomSet(0))
         assert "a" in outcome
@@ -212,8 +265,8 @@ class TestFMinBlock:
                 if not is_model(m, reduct):
                     continue
                 for i, xi in enumerate(subsets, start=1):
-                    assignment = support.block_assignment(p, x, xi, i, vt, m)
                     block = build_f_min_block(p, x, xi, i, vt)
+                    assignment = support.block_assignment(p, x, xi, i, vt, m)
                     assert evaluate(block, assignment) == \
                         bool(mincheck(p, m, x, xi))
 
@@ -262,8 +315,8 @@ class TestBuildQuery:
         x = p1.atom_set(["b", "c", "h"])
         formula, vt = build_query(p1, x, QuerySpec("brave", "b"))
         cnf = tseitin_cnf(formula, vt.n_reserved)
-        assert node_count(formula) == 1888
-        assert (cnf.n_vars, len(cnf.clauses)) == (573, 1326)
+        assert node_count(formula) == 279
+        assert (cnf.n_vars, len(cnf.clauses)) == (58, 206)
 
     def test_v_fixes_the_whole_cnf_model(self, p1):
         # Every label and u variable is a function of v: a brave model is
@@ -362,7 +415,10 @@ class TestDecodeAndMap:
         write_var_map(vt, cnf, buffer)
         lines = buffer.getvalue().splitlines()
         assert lines[0] == "v 1 a"
-        assert lines[7] == "u 8 1 0 a"
+        assert lines[7] == "u 8 1 2 i"
+        u_layers = [int(line.split()[3]) for line in lines if line[0] == "u"]
+        assert len(u_layers) == len(vt.cells)
+        assert all(1 <= layer <= vt.p for layer in u_layers)
         kinds = [line.split()[0] for line in lines]
         assert kinds == sorted(kinds, key=lambda k: {"v": 0, "u": 1, "t": 2}[k])
         assert len(lines) == cnf.n_vars
