@@ -15,9 +15,8 @@ from .backdoor import (Backdoor, find_backdoor, format_backdoor,
                        head_dependency_graph, parse_backdoor,
                        vertex_cover_bounded, verify_strong_backdoor)
 from .mincheck import (AnswerSetCheck, backdoor_subsets, is_answer_set,
-                       mincheck, restrict_program)
-from .formula import (CnfFormula, Formula, emit_dimacs, evaluate, node_count,
-                      tseitin_cnf)
+                       restrict_program)
+from .formula import CnfFormula, Formula, emit_dimacs, tseitin_cnf
 from .encoding import (QuerySpec, VarTable, build_f_lm_block, build_f_min_block,
                        build_f_mod, build_query, decode_model, write_var_map)
 from .solver import (SAT, UNKNOWN, UNSAT, SatResult, SolverConfig, SolverError,

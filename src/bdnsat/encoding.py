@@ -21,7 +21,8 @@ from .program import AtomSet, Program
 class VarTable:
     """Variable ids: v vars 1..n, then u vars in build order, then labels.
 
-    new_u hands out each u variable and records its (block, layer, atom) cell.
+    v returns the one Var of an atom; new_u hands out each u variable and
+    records its (block, layer, atom) cell.
     """
 
     def __init__(self, program: Program, backdoor_atoms: AtomSet):
@@ -30,9 +31,10 @@ class VarTable:
         self.p = min(len(program.rules), len(program.table))
         self.n_blocks = 1 << len(backdoor_atoms)
         self.cells: list[tuple[int, int, int]] = []
+        self._v = [Var(a + 1) for a in range(self.n_atoms)]
 
     def v(self, atom_id: int) -> Var:
-        return Var(atom_id + 1)
+        return self._v[atom_id]
 
     def new_u(self, block: int, layer: int, atom_id: int) -> Var:
         self.cells.append((block, layer, atom_id))
@@ -92,30 +94,50 @@ def build_f_lm_block(restricted: Program, block: int,
     - a layer equal to the one before it is the fixpoint, so the loop stops.
     Every u is defined over v and earlier cells, so v fixes every u.  In a
     negation-free program every firing folds to a constant and no u is made.
+
+    The work follows the changes (semi-naive evaluation).  Layer 1 computes
+    every atom; layer j > 1 computes, in ascending order, only the readers
+    of the cells that changed at layer j-1: the heads of the rules with such
+    a cell in their positive body.  Any other atom reads the same cells as
+    at layer j-1, so its firings equal the list that last changed its cell
+    and the rule above would keep the cell anyway.  A layer's changed cells
+    are written to the one row after the layer, so every read is of layer
+    j-1, and the loop stops at the first layer that changes no cell.  The u
+    variables, their order and every formula are therefore those of a full
+    recompute, and a chain of n atoms costs 2n firing computations, not n^2.
     """
-    deriving: dict[int, list] = {a: [] for a in range(vt.n_atoms)}
+    deriving: list[list] = [[] for _ in range(vt.n_atoms)]
+    readers: list[list[int]] = [[] for _ in range(vt.n_atoms)]
     for r in restricted.rules:
         if r.head:
             (head_atom,) = r.head
-            deriving[head_atom].append(r)
+            deriving[head_atom].append(
+                (tuple(r.pos_body), [neg(vt.v(b)) for b in r.neg_body]))
+            for b in r.pos_body:
+                readers[b].append(head_atom)
     row, last = [False] * vt.n_atoms, [None] * vt.n_atoms
+    todo = range(vt.n_atoms)
     parts = []
     for j in range(1, vt.p + 1):
-        prev, row = row, list(row)
-        for a in range(vt.n_atoms):
-            firings = [conj([prev[b] for b in r.pos_body]
-                            + [neg(vt.v(b)) for b in r.neg_body])
-                       for r in deriving[a]]
+        changed = []
+        for a in todo:
+            firings = [conj([row[b] for b in pos] + negs)
+                       for pos, negs in deriving[a]]
             if firings == last[a]:
                 continue
             last[a] = firings
-            row[a] = disj([prev[a]] + firings)
-            if not isinstance(row[a], (bool, Var, Not)):
+            cell = disj([row[a]] + firings)
+            if not isinstance(cell, (bool, Var, Not)):
                 u = vt.new_u(block, j, a)
-                parts.append(iff(u, row[a]))
-                row[a] = u
-        if row == prev:
+                parts.append(iff(u, cell))
+                cell = u
+            if cell != row[a]:
+                changed.append((a, cell))
+        if not changed:
             break
+        todo = sorted({h for a, _ in changed for h in readers[a]})
+        for a, cell in changed:
+            row[a] = cell
     return conj(parts), row
 
 

@@ -10,7 +10,7 @@ a raw tree becomes one shared CNF variable fixed to true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Union
+from typing import IO, Iterable, Union
 
 
 @dataclass(frozen=True)
@@ -91,46 +91,6 @@ def iff(left: Formula, right: Formula) -> Formula:
     if isinstance(right, bool):
         return left if right else neg(left)
     return Iff(left, right)
-
-
-def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
-    """Truth value under a total assignment of the referenced variables."""
-    if isinstance(formula, bool):
-        return formula
-    if isinstance(formula, Var):
-        return assignment[formula.id]
-    if isinstance(formula, Not):
-        return not evaluate(formula.child, assignment)
-    if isinstance(formula, And):
-        return all(evaluate(c, assignment) for c in formula.children)
-    if isinstance(formula, Or):
-        return any(evaluate(c, assignment) for c in formula.children)
-    if isinstance(formula, Iff):
-        return evaluate(formula.left, assignment) == evaluate(formula.right, assignment)
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def _nodes(formula: Formula) -> Iterator[Formula]:
-    """Every node occurrence, depth first, last child first."""
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, _Nary):
-            stack.extend(node.children)
-        elif isinstance(node, Iff):
-            stack.append(node.left)
-            stack.append(node.right)
-
-
-def variables(formula: Formula) -> set[int]:
-    return {node.id for node in _nodes(formula) if isinstance(node, Var)}
-
-
-def node_count(formula: Formula) -> int:
-    return sum(1 for _ in _nodes(formula))
 
 
 @dataclass

@@ -87,19 +87,6 @@ def _subprocedure(reduct: Program, m: AtomSet, x: AtomSet,
     return tuple(fired)
 
 
-def mincheck(program: Program, m: AtomSet, x: AtomSet,
-             x1: AtomSet) -> tuple[str, ...]:
-    """Run the subprocedure for one subset x1, validating its preconditions."""
-    if not x1.issubset(x):
-        raise ValueError("x1 must be a subset of x")
-    if not verify_strong_backdoor(program, x):
-        raise ValueError("x is not a strong normality backdoor")
-    reduct = gl_reduct(program, m)
-    if not is_model(m, reduct):
-        raise ValueError("m is not a model of the GL reduct of the program under m")
-    return _subprocedure(reduct, m, x, x1)
-
-
 def backdoor_subsets(program: Program, x: AtomSet) -> tuple[AtomSet, ...]:
     """Subsets of x restricted to at(P), in binary-counter order over ascending ids.
 

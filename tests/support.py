@@ -10,11 +10,14 @@ import io
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator, Mapping
 
-from bdnsat import AtomSet, AtomTable, Program, Rule, parse_program
+from bdnsat import (AtomSet, AtomTable, Program, Rule, gl_reduct, is_model,
+                    parse_program, verify_strong_backdoor)
 from bdnsat.encoding import VarTable
-from bdnsat.formula import CnfFormula, emit_dimacs
-from bdnsat.mincheck import restrict_program
+from bdnsat.formula import (And, CnfFormula, Formula, Iff, Not, Or, Var, conj,
+                            disj, emit_dimacs, iff, neg)
+from bdnsat.mincheck import _subprocedure, restrict_program
 
 P1_SOURCE = """\
 a | c :- b.
@@ -38,6 +41,59 @@ def dimacs_text(cnf: CnfFormula) -> str:
     out = io.StringIO()
     emit_dimacs(cnf, out)
     return out.getvalue()
+
+
+def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
+    """Truth value under a total assignment of the referenced variables."""
+    if isinstance(formula, bool):
+        return formula
+    if isinstance(formula, Var):
+        return assignment[formula.id]
+    if isinstance(formula, Not):
+        return not evaluate(formula.child, assignment)
+    if isinstance(formula, And):
+        return all(evaluate(c, assignment) for c in formula.children)
+    if isinstance(formula, Or):
+        return any(evaluate(c, assignment) for c in formula.children)
+    if isinstance(formula, Iff):
+        return evaluate(formula.left, assignment) == evaluate(formula.right, assignment)
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def _nodes(formula: Formula) -> Iterator[Formula]:
+    """Every node occurrence, depth first, last child first."""
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Not):
+            stack.append(node.child)
+        elif isinstance(node, (And, Or)):
+            stack.extend(node.children)
+        elif isinstance(node, Iff):
+            stack.append(node.left)
+            stack.append(node.right)
+
+
+def variables(formula: Formula) -> set[int]:
+    return {node.id for node in _nodes(formula) if isinstance(node, Var)}
+
+
+def node_count(formula: Formula) -> int:
+    return sum(1 for _ in _nodes(formula))
+
+
+def mincheck(program: Program, m: AtomSet, x: AtomSet,
+             x1: AtomSet) -> tuple[str, ...]:
+    """Run the subprocedure for one subset x1, validating its preconditions."""
+    if not x1.issubset(x):
+        raise ValueError("x1 must be a subset of x")
+    if not verify_strong_backdoor(program, x):
+        raise ValueError("x is not a strong normality backdoor")
+    reduct = gl_reduct(program, m)
+    if not is_model(m, reduct):
+        raise ValueError("m is not a model of the GL reduct of the program under m")
+    return _subprocedure(reduct, m, x, x1)
 
 
 def random_program_source(rng: random.Random, max_atoms: int = 7,
@@ -372,6 +428,39 @@ def simulate_block_layers(program: Program, x: AtomSet, xi: AtomSet,
                 cur |= r.head.mask
         layers.append(cur)
     return layers
+
+
+def full_recompute_f_lm_block(restricted: Program, block: int,
+                              vt: VarTable) -> tuple[Formula, list[Formula]]:
+    """build_f_lm_block with every atom recomputed on every layer.
+
+    The reference for the change-driven loop: same cell rules, same u
+    order, but no readers index, so no atom is ever left out of a layer.
+    """
+    deriving: dict[int, list] = {a: [] for a in range(vt.n_atoms)}
+    for r in restricted.rules:
+        if r.head:
+            (head_atom,) = r.head
+            deriving[head_atom].append(r)
+    row, last = [False] * vt.n_atoms, [None] * vt.n_atoms
+    parts = []
+    for j in range(1, vt.p + 1):
+        prev, row = row, list(row)
+        for a in range(vt.n_atoms):
+            firings = [conj([prev[b] for b in r.pos_body]
+                            + [neg(vt.v(b)) for b in r.neg_body])
+                       for r in deriving[a]]
+            if firings == last[a]:
+                continue
+            last[a] = firings
+            row[a] = disj([prev[a]] + firings)
+            if not isinstance(row[a], (bool, Var, Not)):
+                u = vt.new_u(block, j, a)
+                parts.append(iff(u, row[a]))
+                row[a] = u
+        if row == prev:
+            break
+    return conj(parts), row
 
 
 def block_assignment(program: Program, x: AtomSet, xi: AtomSet, block: int,

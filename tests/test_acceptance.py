@@ -12,12 +12,12 @@ import pytest
 
 import support
 from bdnsat import (AtomSet, brave_atoms, enumerate_answer_sets, find_backdoor,
-                    head_dependency_graph, is_answer_set, mincheck,
-                    naive_is_answer_set, skeptical_atoms)
+                    head_dependency_graph, is_answer_set, naive_is_answer_set,
+                    skeptical_atoms)
 from support import (TruthAssignment, assignment_reduct, assignments_over,
-                     delete_atoms)
+                     delete_atoms, evaluate, mincheck, node_count)
 from bdnsat.encoding import QuerySpec, build_query
-from bdnsat.formula import evaluate, node_count, tseitin_cnf
+from bdnsat.formula import tseitin_cnf
 from bdnsat.formula import Var, Not, And, Or, Iff
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
 

@@ -5,17 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 import support
 from bdnsat import (AtomSet, brave_atoms, find_backdoor, gl_reduct,
-                    is_answer_set, least_model, mincheck, parse_program,
-                    skeptical_atoms)
+                    is_answer_set, least_model, parse_program, skeptical_atoms)
 from bdnsat import encoding
 from bdnsat.encoding import (QuerySpec, VarTable, build_f_lm_block,
                              build_f_min_block, build_f_mod, build_query,
                              decode_model, write_var_map)
-from bdnsat.formula import (And, evaluate, node_count, tseitin_cnf,
-                            variables)
+from bdnsat.formula import And, tseitin_cnf
 from bdnsat.mincheck import backdoor_subsets, restrict_program
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
 import io
+from support import evaluate, mincheck, node_count, variables
 
 
 def solve_query(program, x, mode, atom):
@@ -215,6 +214,42 @@ class TestFoldedLayers:
         assert vt.cells == []
         _, vt = build_query(program, x, QuerySpec("brave", atom))
         assert vt.n_reserved == vt.n_atoms
+
+    @pytest.mark.parametrize("programs", [
+        lambda: support.corpus(2013, 500, max_atoms=7, max_rules=10),
+        lambda: [ring_program(entry, n) for n in range(3, 12)
+                 for entry in ("x1 :- not y. y :- not x1.", "x1 | y.")],
+        lambda: [support.chain_program(30)],
+        lambda: [support.padded_backdoor_program(3)],
+    ], ids=["corpus", "rings", "chain30", "padded3"])
+    def test_change_driven_layers_equal_full_recompute(self, programs):
+        for p in programs():
+            x = find_backdoor(p).atoms
+            vt, ref = VarTable(p, x), VarTable(p, x)
+            for i, xi in enumerate(backdoor_subsets(p, x), start=1):
+                restricted = restrict_program(p, x, xi)
+                assert build_f_lm_block(restricted, i, vt) == \
+                    support.full_recompute_f_lm_block(restricted, i, ref)
+                assert vt.cells == ref.cells
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_chain_layers_do_linear_work(self, monkeypatch, n):
+        # a full recompute makes n^2 + 1 conj calls: n layers of n atoms,
+        # plus the final conjunction of the gates
+        calls = 0
+        conj = encoding.conj
+
+        def counted(children):
+            nonlocal calls
+            calls += 1
+            return conj(children)
+        monkeypatch.setattr(encoding, "conj", counted)
+        p = support.chain_program(n)
+        vt = VarTable(p, AtomSet(0))
+        f_lm, row = build_f_lm_block(
+            restrict_program(p, AtomSet(0), AtomSet(0)), 1, vt)
+        assert f_lm is True and all(cell is True for cell in row)
+        assert calls <= 2 * n + 1
 
 
 class TestFMinBlock:

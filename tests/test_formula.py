@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdnsat.formula import (And, CnfFormula, Iff, Not, Or, Var, conj, disj,
-                            evaluate, iff, imp, neg, node_count, tseitin_cnf,
-                            variables)
+                            iff, imp, neg, tseitin_cnf)
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
-from support import dimacs_text
+from support import dimacs_text, evaluate, node_count, variables
 
 
 def random_formula(rng: random.Random, n_vars: int, depth: int):

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import support
 from bdnsat import (AtomSet, find_backdoor, gl_reduct, is_answer_set,
-                    mincheck, naive_is_answer_set, parse_program,
-                    restrict_program)
+                    naive_is_answer_set, parse_program, restrict_program)
 from bdnsat.mincheck import backdoor_subsets
+from support import mincheck
 
 
 @pytest.fixture
