@@ -12,9 +12,9 @@ import os
 import sys
 from typing import Sequence
 
-from . import oracle
 from .backdoor import find_backdoor, format_backdoor, parse_backdoor
-from .encoding import QuerySpec, build_query, decode_model, write_var_map
+from .encoding import (QuerySpec, build_program, build_query, decode_model,
+                       write_var_map)
 from .formula import emit_dimacs, tseitin_cnf
 from .mincheck import is_answer_set
 from .program import AtomSet, ParseError, Program, parse_program
@@ -91,9 +91,34 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _witness(result, vt, program: Program, x: AtomSet) -> AtomSet:
+    """The answer set read off a SAT result, re-checked against the program."""
+    m = decode_model(result.assignment, vt)
+    if not is_answer_set(program, m, x).is_answer_set:
+        raise SolverError("decoded model failed the answer-set re-check")
+    return m
+
+
 def _cmd_enumerate(args) -> int:
+    """Solve the program CNF, block each answer set's v values, repeat to UNSAT."""
     program = _load(args.file)
-    answer_sets = oracle.enumerate_answer_sets(program, force=args.force)
+    x = _resolve_backdoor(program, None)
+    formula, vt = build_program(program, x)
+    cnf = tseitin_cnf(formula, vt.n_reserved)
+    answer_sets = []
+    while True:
+        result = solve_cnf(cnf, SolverConfig())
+        if result.status == UNSAT:
+            break
+        if result.status != SAT:
+            print(f"unknown: {result.diagnostics}")
+            return EXIT_UNKNOWN
+        m = _witness(result, vt, program, x)
+        answer_sets.append(m)
+        if not program.atoms:
+            break
+        cnf.clauses.append(tuple(-vt.v(a).id if a in m else vt.v(a).id
+                                 for a in program.atoms))
     for m in sorted(answer_sets, key=lambda s: sorted(program.atom_names(s))):
         print(_format_atoms(program, m))
     return EXIT_OK
@@ -133,11 +158,7 @@ def _cmd_solve(args) -> int:
     executable = os.environ.get(SOLVER_ENV_VAR) or args.solver
     result = solve_cnf(cnf, SolverConfig(executable, args.timeout))
     if result.status == SAT:
-        m = decode_model(result.assignment, vt)
-        check = is_answer_set(program, m, x)
-        if not check.is_answer_set:
-            raise SolverError("decoded model failed the answer-set re-check")
-        witness = _format_atoms(program, m)
+        witness = _format_atoms(program, _witness(result, vt, program, x))
         if args.mode == "brave":
             print(f"yes: {args.atom} is in answer set {witness}")
             return EXIT_YES
@@ -218,10 +239,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="comma-separated backdoor atoms (default: detect)")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("enumerate", help="brute-force all answer sets")
+    p = sub.add_parser("enumerate", help="list every answer set, by SAT")
     p.add_argument("file")
-    p.add_argument("--force", action="store_true",
-                   help="ignore the oracle size guard")
     p.set_defaults(func=_cmd_enumerate)
 
     for name in ("encode", "solve"):

@@ -4,7 +4,9 @@ The formula is satisfiable iff some subset M of at(P), read off the v
 variables, is an answer set meeting the query.  One block per subset X_i
 of the backdoor reproduces the fixed-parameter minimality subprocedure
 symbolically: layered u variables simulate the least-model computation of
-the restricted reduct, and four disjuncts mirror its accept conditions.
+the restricted reduct, and disjuncts mirror its accept conditions ((c)
+keeps only its L union X_i = M half; the rest repeats the premise and (b)).
+A query adds its literal to the program formula as one more root conjunct.
 Backdoor membership tests are compile-time constants and are folded away.
 """
 from __future__ import annotations
@@ -145,14 +147,17 @@ def build_f_min_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
                       vt: VarTable) -> Formula:
     """Block formula: F_lm, and the subset premise fails or L is accepted.
 
-    The four accept disjuncts state that the simulated least model L (read
-    at layer p) breaks a restricted constraint, leaks out of M minus X,
-    makes L union X_i improper in M, or breaks a rule of the reduct.  The
-    paper puts F_lm under the premise; here it is asserted outside.  F_lm
-    fixes the block's u variables as a function of v, so it holds for
-    exactly one u assignment per v assignment, and the v projections of the
-    models stay the same.  Its `u <-> ...` definitions then become root
-    gate clauses in tseitin_cnf.
+    The accept disjuncts state that the simulated least model L (read at
+    layer p) (a) breaks a restricted constraint, (b) leaks out of M minus
+    X, (c) makes L union X_i equal M, or (d) breaks a rule of the reduct.
+    The paper's (c) also accepts an overflow and asks for X_i inside M, but
+    restriction clears X from the heads, so an overflow is the failed
+    premise or (b), and X_i inside M is the premise: (c) needs only
+    `v_a <-> L_a` for a outside X_i.  The paper puts F_lm under the premise;
+    here it is asserted outside.  F_lm fixes the block's u variables as a
+    function of v, so it holds for exactly one u assignment per v
+    assignment, and the v projections of the models stay the same.  Its
+    `u <-> ...` definitions then become root gate clauses in tseitin_cnf.
     """
     restricted = restrict_program(program, x, xi)
     subset_premise = conj(vt.v(a) for a in xi)
@@ -162,11 +167,7 @@ def build_f_min_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
                for r in restricted.rules if not r.head)
     f_b = disj(conj([neg(vt.v(a)), up[a]])
                for a in range(vt.n_atoms) if a not in x)
-    equals_m = conj(vt.v(a) if a in xi else iff(vt.v(a), up[a])
-                    for a in range(vt.n_atoms))
-    overflows_m = disj(neg(vt.v(a)) if a in xi else conj([up[a], neg(vt.v(a))])
-                       for a in range(vt.n_atoms))
-    f_c = disj([equals_m, overflows_m])
+    f_c = conj(iff(vt.v(a), up[a]) for a in range(vt.n_atoms) if a not in xi)
     f_d_parts = []
     for r in program.rules:
         if r.head.mask & xi.mask:
@@ -179,21 +180,27 @@ def build_f_min_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
     return conj([f_lm, disj([neg(subset_premise), f_a, f_b, f_c, f_d])])
 
 
-def build_query(program: Program, x: AtomSet,
-                query: QuerySpec) -> tuple[Formula, VarTable]:
-    """F_mod and all minimality blocks, plus the query literal."""
+def build_program(program: Program, x: AtomSet) -> tuple[Formula, VarTable]:
+    """F_mod and all minimality blocks: its v projections are the answer sets."""
     subsets = backdoor_subsets(program, x)  # guards 2^k before any building
     if not verify_strong_backdoor(program, x):
         raise ValueError("x is not a strong normality backdoor")
+    effective = x & program.atoms
+    vt = VarTable(program, effective)
+    return conj([build_f_mod(program, vt),
+                 conj(build_f_min_block(program, effective, xi, i + 1, vt)
+                      for i, xi in enumerate(subsets))]), vt
+
+
+def build_query(program: Program, x: AtomSet,
+                query: QuerySpec) -> tuple[Formula, VarTable]:
+    """The program formula plus the query literal, its last root conjunct."""
     atom_id = program.table.id_of(query.atom)
     if atom_id not in program.atoms:
         raise ValueError(f"query atom {query.atom!r} does not occur in the program")
-    effective = x & program.atoms
-    vt = VarTable(program, effective)
+    formula, vt = build_program(program, x)
     query_var = vt.v(atom_id)
-    return conj([build_f_mod(program, vt),
-                 conj(build_f_min_block(program, effective, xi, i + 1, vt)
-                      for i, xi in enumerate(subsets)),
+    return conj([formula,
                  query_var if query.mode == "brave" else neg(query_var)]), vt
 
 

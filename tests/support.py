@@ -19,6 +19,86 @@ from bdnsat.formula import (And, CnfFormula, Formula, Iff, Not, Or, Var, conj,
                             disj, emit_dimacs, iff, neg)
 from bdnsat.mincheck import _subprocedure, restrict_program
 
+# --- brute-force answer-set oracles, straight from the definition ----------
+#
+# An answer set of P is a subset M of at(P) that is a minimal model of the GL
+# reduct of P under M, minimality checked by testing every proper subset.
+# They share no logic with the fixed-parameter machinery or the SAT pipeline.
+
+ORACLE_ATOM_LIMIT = 20
+
+
+def _reduct_masks(program: Program, m_mask: int) -> list[tuple[int, int]]:
+    """(head, pos_body) masks of the GL reduct rules under m."""
+    return [(r.head.mask, r.pos_body.mask) for r in program.rules
+            if r.neg_body.mask & m_mask == 0]
+
+
+def _is_model_of_masks(masks: list[tuple[int, int]], m_mask: int) -> bool:
+    for head, pos in masks:
+        if head & m_mask == 0 and pos & ~m_mask == 0:
+            return False
+    return True
+
+
+def _minimal_model_of_reduct(masks: list[tuple[int, int]], m_mask: int) -> bool:
+    if not _is_model_of_masks(masks, m_mask):
+        return False
+    if m_mask == 0:
+        return True
+    sub = (m_mask - 1) & m_mask
+    while True:
+        if _is_model_of_masks(masks, sub):
+            return False
+        if sub == 0:
+            return True
+        sub = (sub - 1) & m_mask
+
+
+def naive_is_answer_set(program: Program, m: AtomSet) -> bool:
+    """Definition-level check: is m a minimal model of the GL reduct under m?"""
+    if m.mask & ~program.atoms.mask:
+        # atoms outside at(P) are never forced, so m cannot be minimal
+        return False
+    return _minimal_model_of_reduct(_reduct_masks(program, m.mask), m.mask)
+
+
+def enumerate_answer_sets(program: Program, force: bool = False) -> set[AtomSet]:
+    """All answer sets of program, by exhaustive search over subsets of at(P)."""
+    n = len(program.atoms)
+    if n > ORACLE_ATOM_LIMIT and not force:
+        raise ValueError(
+            f"program has {n} atoms, above the oracle guard of "
+            f"{ORACLE_ATOM_LIMIT}; pass force=True to override")
+    universe = program.atoms.mask
+    answer_sets = set()
+    m_mask = 0
+    while True:
+        if _minimal_model_of_reduct(_reduct_masks(program, m_mask), m_mask):
+            answer_sets.add(AtomSet(m_mask))
+        if m_mask == universe:
+            break
+        # next subset of the (possibly sparse) universe mask
+        m_mask = (m_mask - universe) & universe
+    return answer_sets
+
+
+def brave_atoms(program: Program, force: bool = False) -> AtomSet:
+    """Atoms contained in at least one answer set."""
+    mask = 0
+    for m in enumerate_answer_sets(program, force=force):
+        mask |= m.mask
+    return AtomSet(mask)
+
+
+def skeptical_atoms(program: Program, force: bool = False) -> AtomSet:
+    """Atoms contained in every answer set (all of at(P) if there are none)."""
+    mask = program.atoms.mask
+    for m in enumerate_answer_sets(program, force=force):
+        mask &= m.mask
+    return AtomSet(mask)
+
+
 P1_SOURCE = """\
 a | c :- b.
 b :- c, not g.

@@ -11,11 +11,12 @@ from itertools import combinations, product
 import pytest
 
 import support
-from bdnsat import (AtomSet, brave_atoms, enumerate_answer_sets, find_backdoor,
-                    head_dependency_graph, is_answer_set, naive_is_answer_set,
-                    skeptical_atoms)
+from bdnsat import (AtomSet, find_backdoor, head_dependency_graph,
+                    is_answer_set)
 from support import (TruthAssignment, assignment_reduct, assignments_over,
-                     delete_atoms, evaluate, mincheck, node_count)
+                     brave_atoms, delete_atoms, enumerate_answer_sets,
+                     evaluate, mincheck, naive_is_answer_set, node_count,
+                     skeptical_atoms)
 from bdnsat.encoding import QuerySpec, build_query
 from bdnsat.formula import tseitin_cnf
 from bdnsat.formula import Var, Not, And, Or, Iff

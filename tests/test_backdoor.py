@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
-from bdnsat import (AtomSet, enumerate_answer_sets, find_backdoor,
-                    format_backdoor, head_dependency_graph, parse_backdoor,
-                    parse_program, vertex_cover_bounded, verify_strong_backdoor)
+from bdnsat import (AtomSet, find_backdoor, format_backdoor,
+                    head_dependency_graph, parse_backdoor, parse_program,
+                    vertex_cover_bounded, verify_strong_backdoor)
 from bdnsat.program import Program, Rule
 from support import (TruthAssignment, assignment_reduct, assignments_over,
-                     delete_atoms)
+                     delete_atoms, enumerate_answer_sets)
 
 
 def edge_names(program, graph):

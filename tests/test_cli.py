@@ -8,7 +8,7 @@ import support
 from bdnsat import cli
 from bdnsat.cli import main
 from bdnsat.encoding import VarTable
-from bdnsat.solver import MAX_TIMEOUT
+from bdnsat.solver import MAX_TIMEOUT, UNKNOWN, SatResult
 
 
 @pytest.fixture
@@ -164,12 +164,44 @@ class TestEnumerate:
         assert code == 0
         assert out.splitlines() == ["{a,c,g}", "{b,c,g}"]
 
-    def test_guard_and_force(self, capsys, tmp_path):
+    def test_above_old_atom_guard(self, capsys, tmp_path):
         big = tmp_path / "big.lp"
         big.write_text("".join(f"a{i}.\n" for i in range(21)))
-        code, _, err = run(capsys, "enumerate", str(big))
+        code, out, _ = run(capsys, "enumerate", str(big))
+        assert code == 0
+        assert out.splitlines() == [
+            "{" + ",".join(sorted(f"a{i}" for i in range(21))) + "}"]
+
+    def test_force_is_usage_error(self, capsys, p1_file):
+        code, out, err = run(capsys, "enumerate", p1_file, "--force")
         assert code == 1
-        assert "force" in err
+        assert out == ""
+        assert "--force" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("source, expected", [("", "{}\n"),
+                                                  ("a :- not a.\n", "")])
+    def test_empty_and_inconsistent(self, capsys, tmp_path, source, expected):
+        path = tmp_path / "p.lp"
+        path.write_text(source)
+        assert run(capsys, "enumerate", str(path)) == (0, expected, "")
+
+    def test_unknown_exits_30(self, capsys, p1_file, monkeypatch):
+        monkeypatch.setattr(cli, "solve_cnf", lambda cnf, config: SatResult(
+            UNKNOWN, diagnostics="timeout"))
+        code, out, _ = run(capsys, "enumerate", p1_file)
+        assert code == 30
+        assert out == "unknown: timeout\n"
+
+    def test_matches_oracle(self, capsys, tmp_path):
+        path = tmp_path / "p.lp"
+        for program in support.corpus(2013, 60, max_atoms=7, max_rules=10):
+            path.write_text(support.pretty(program))
+            code, out, _ = run(capsys, "enumerate", str(path))
+            assert code == 0
+            expected = sorted(sorted(program.atom_names(m))
+                              for m in support.enumerate_answer_sets(program))
+            assert out.splitlines() == ["{" + ",".join(names) + "}"
+                                        for names in expected]
 
 
 class TestEncode:
@@ -182,8 +214,8 @@ class TestEncode:
         assert code == 0
         # Pinned (detected backdoor a, c, h): a change to the encoding's
         # size must update these on purpose.
-        assert out.splitlines() == ["blocks: 8", "variables: 67",
-                                    "clauses: 238"]
+        assert out.splitlines() == ["blocks: 8", "variables: 51",
+                                    "clauses: 172"]
         header = cnf_path.read_text().splitlines()[0].split()
         assert header[:2] == ["p", "cnf"]
         map_lines = map_path.read_text().splitlines()
@@ -318,8 +350,7 @@ class TestSolveMatchesOracle:
     def test_golden_corpus(self, capsys, tmp_path):
         import random
 
-        from bdnsat import brave_atoms, skeptical_atoms
-        from support import pretty
+        from support import brave_atoms, pretty, skeptical_atoms
 
         rng = random.Random(321)
         for i in range(10):

@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
-from bdnsat import (AtomSet, brave_atoms, find_backdoor, gl_reduct,
-                    is_answer_set, least_model, parse_program, skeptical_atoms)
+from bdnsat import (AtomSet, find_backdoor, gl_reduct, is_answer_set,
+                    least_model, parse_program)
 from bdnsat import encoding
 from bdnsat.encoding import (QuerySpec, VarTable, build_f_lm_block,
-                             build_f_min_block, build_f_mod, build_query,
-                             decode_model, write_var_map)
+                             build_f_min_block, build_f_mod, build_program,
+                             build_query, decode_model, write_var_map)
 from bdnsat.formula import And, tseitin_cnf
 from bdnsat.mincheck import backdoor_subsets, restrict_program
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
 import io
-from support import evaluate, mincheck, node_count, variables
+from support import (brave_atoms, evaluate, mincheck, node_count,
+                     skeptical_atoms, variables)
 
 
 def solve_query(program, x, mode, atom):
@@ -336,6 +337,23 @@ class TestBuildQuery:
         _, vt = build_query(p1, x, QuerySpec("brave", "b"))
         assert len(calls) == vt.n_blocks
 
+    def test_query_cnf_is_program_cnf_plus_unit(self):
+        programs = support.corpus(2013, 500, max_atoms=7, max_rules=10)
+        programs += [support.chain_program(30),
+                     support.padded_backdoor_program(3)]
+        for p in programs:
+            x = find_backdoor(p).atoms
+            formula, vt = build_program(p, x)
+            base = tseitin_cnf(formula, vt.n_reserved)
+            for a in p.atoms:
+                v = vt.v(a).id
+                for mode, lit in (("brave", v), ("skeptical", -v)):
+                    query = QuerySpec(mode, p.table.name_of(a))
+                    formula, vt = build_query(p, x, query)
+                    cnf = tseitin_cnf(formula, vt.n_reserved)
+                    assert cnf.n_vars == base.n_vars
+                    assert cnf.clauses == base.clauses + [(lit,)]
+
     def test_unknown_atom_rejected(self, p1):
         with pytest.raises(ValueError):
             build_query(p1, p1.atom_set(["b", "c", "h"]), QuerySpec("brave", "zz"))
@@ -350,8 +368,8 @@ class TestBuildQuery:
         x = p1.atom_set(["b", "c", "h"])
         formula, vt = build_query(p1, x, QuerySpec("brave", "b"))
         cnf = tseitin_cnf(formula, vt.n_reserved)
-        assert node_count(formula) == 279
-        assert (cnf.n_vars, len(cnf.clauses)) == (58, 206)
+        assert node_count(formula) == 216
+        assert (cnf.n_vars, len(cnf.clauses)) == (44, 148)
 
     def test_v_fixes_the_whole_cnf_model(self, p1):
         # Every label and u variable is a function of v: a brave model is

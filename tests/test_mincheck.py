@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import support
 from bdnsat import (AtomSet, find_backdoor, gl_reduct, is_answer_set,
-                    naive_is_answer_set, parse_program, restrict_program)
+                    parse_program, restrict_program)
 from bdnsat.mincheck import backdoor_subsets
-from support import mincheck
+from support import mincheck, naive_is_answer_set
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
-from bdnsat import (AtomSet, brave_atoms, enumerate_answer_sets,
-                    naive_is_answer_set, parse_program, skeptical_atoms)
+from bdnsat import AtomSet, parse_program
+from support import (brave_atoms, enumerate_answer_sets, naive_is_answer_set,
+                     skeptical_atoms)
 
 
 def as_names(program, answer_sets):

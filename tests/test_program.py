@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
-from bdnsat import (AtomSet, ParseError, enumerate_answer_sets, gl_reduct,
-                    is_model, least_model, parse_program, positive_sccs,
-                    satisfies)
+from bdnsat import (AtomSet, ParseError, gl_reduct, is_model, least_model,
+                    parse_program, positive_sccs, satisfies)
 from bdnsat.program import AtomTable, Program, Rule
-from support import pretty
+from support import enumerate_answer_sets, pretty
 
 
 def names(program, atom_set):
