@@ -19,7 +19,7 @@ from .formula import emit_dimacs, tseitin_cnf
 from .mincheck import is_answer_set
 from .program import AtomSet, ParseError, Program, parse_program
 from .solver import (DEFAULT_TIMEOUT, MAX_TIMEOUT, SAT, UNSAT, SolverConfig,
-                     SolverError, solve as solve_cnf, valid_timeout)
+                     SolverError, models, solve as solve_cnf, valid_timeout)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -100,28 +100,21 @@ def _witness(result, vt, program: Program, x: AtomSet) -> AtomSet:
 
 
 def _cmd_enumerate(args) -> int:
-    """Solve the program CNF, block each answer set's v values, repeat to UNSAT."""
+    """Print the answer sets; on a timeout, those found, then `unknown`."""
     program = _load(args.file)
     x = _resolve_backdoor(program, None)
     formula, vt = build_program(program, x)
     cnf = tseitin_cnf(formula, vt.n_reserved)
     answer_sets = []
-    while True:
-        result = solve_cnf(cnf, SolverConfig())
-        if result.status == UNSAT:
-            break
-        if result.status != SAT:
-            print(f"unknown: {result.diagnostics}")
-            return EXIT_UNKNOWN
-        m = _witness(result, vt, program, x)
-        answer_sets.append(m)
-        if not program.atoms:
-            break
-        cnf.clauses.append(tuple(-vt.v(a).id if a in m else vt.v(a).id
-                                 for a in program.atoms))
+    for result in models(cnf, vt.n_atoms):
+        if result.status == SAT:
+            answer_sets.append(_witness(result, vt, program, x))
     for m in sorted(answer_sets, key=lambda s: sorted(program.atom_names(s))):
         print(_format_atoms(program, m))
-    return EXIT_OK
+    if result.status == UNSAT:
+        return EXIT_OK
+    print(f"unknown: {result.diagnostics}")
+    return EXIT_UNKNOWN
 
 
 def _build(args, program: Program):

@@ -3,9 +3,10 @@
 The internal solver is deliberately plain (unit propagation through watched
 literals on the clauses as given, chronological backtracking, no clause
 learning); it exists so the pipeline and tests run without any system
-solver.  It reports decision, conflict and propagation counts; external
-results leave them at 0.  External solvers are invoked as
-``<exe> <cnf-file>`` and read back in SAT-competition output format.
+solver, and it can go on past a model to list them all.  It reports
+decision, conflict and propagation counts; external results leave them at
+0.  External solvers are invoked as ``<exe> <cnf-file>`` and read back in
+SAT-competition output format.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .formula import CnfFormula, emit_dimacs
 
@@ -63,10 +65,9 @@ class SolverConfig:
 
 def solve(cnf: CnfFormula, config: SolverConfig) -> SatResult:
     """Run the configured solver and verify any model returned."""
-    if config.executable:
-        result = _solve_external(cnf, config)
-    else:
-        result = _solve_internal(cnf, config.timeout)
+    if not config.executable:
+        return next(models(cnf, cnf.n_vars, config.timeout))
+    result = _solve_external(cnf, config)
     if result.status == SAT:
         _check_model(cnf, result.assignment)
     return result
@@ -84,15 +85,22 @@ def _check_model(cnf: CnfFormula, assignment: dict[int, bool]) -> None:
 
 # --- internal DPLL ----------------------------------------------------------
 
-def _solve_internal(cnf: CnfFormula, timeout: float) -> SatResult:
-    """Watched-literal DPLL; each clause's first two literals are watched.
+def models(cnf: CnfFormula, project: int,
+           timeout: float = DEFAULT_TIMEOUT) -> Iterator[SatResult]:
+    """Internal DPLL: one checked model per assignment of variables 1..project.
 
-    Clauses are watched as given.  A clause turns false only when its last
-    non-false literal does, which is watched (maybe in both slots), so the
-    conflict is found; a tautology never propagates or conflicts.  Copies
-    of one last literal wait for the conflict (``(1, 2, 1)`` after ``-2``);
-    the search stays sound (models pass ``_check_model``) and complete
-    (backtracking is chronological).
+    Yields the models, then UNSAT (none left) or UNKNOWN (the one deadline
+    has passed); counters are totals so far.  Variables are decided in id
+    order, so 1..project are set before any other; after a model the search
+    drops the decisions above them and backtracks as after a conflict, so no
+    projection repeats and the search tree is walked once.
+
+    Each clause's first two literals are watched, as given.  A clause turns
+    false only when its last non-false literal does, which is watched (maybe
+    in both slots), so the conflict is found; a tautology never propagates
+    or conflicts.  Copies of one last literal wait for the conflict
+    (``(1, 2, 1)`` after ``-2``); the search stays sound (models pass
+    ``_check_model``) and complete (backtracking is chronological).
 
     ``value`` and ``watches`` are indexed by literal: a negative literal
     indexes from the end of a list of length ``2n + 1``.
@@ -160,6 +168,7 @@ def _solve_internal(cnf: CnfFormula, timeout: float) -> SatResult:
         model = None
         if status == SAT:
             model = {v: value[v] == 1 for v in range(1, n + 1)}
+            _check_model(cnf, model)
         return SatResult(status, model,
                          diagnostics="timeout" if status == UNKNOWN else "",
                          decisions=n_decisions, conflicts=n_conflicts,
@@ -169,32 +178,39 @@ def _solve_internal(cnf: CnfFormula, timeout: float) -> SatResult:
         fresh = not value[lit]
         if not assign(lit):
             n_conflicts += 1
-            return result(UNSAT)
+            yield result(UNSAT)
+            return
         n_implied += fresh
 
-    next_var = 1
+    next_var, limit = 1, n
     while True:
         while next_var <= n and value[next_var]:
             next_var += 1
         if next_var > n:
-            return result(SAT)
-        if time.monotonic() > deadline:
-            return result(UNKNOWN)
-        n_decisions += 1
-        decisions.append((next_var, len(trail), False))
-        ok = assign(next_var)
+            yield result(SAT)
+            ok, limit = False, project  # below the projection: no new model
+        elif time.monotonic() > deadline:
+            yield result(UNKNOWN)
+            return
+        else:
+            n_decisions += 1
+            decisions.append((next_var, len(trail), False))
+            ok = assign(next_var)
+            n_conflicts += not ok
         while not ok:
-            n_conflicts += 1
-            while decisions and decisions[-1][2]:
+            while decisions and (decisions[-1][2] or decisions[-1][0] > limit):
                 decisions.pop()
+            limit = n
             if not decisions:
-                return result(UNSAT)
+                yield result(UNSAT)
+                return
             var, length, _ = decisions.pop()
             while len(trail) > length:
                 lit = trail.pop()
                 value[lit] = value[-lit] = 0
             decisions.append((var, length, True))
             ok = assign(-var)
+            n_conflicts += not ok
             next_var = var  # every variable below a decision is assigned
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from bdnsat.formula import CnfFormula
 from bdnsat.solver import (MAX_TIMEOUT, SAT, UNKNOWN, UNSAT, SatResult,
-                           SolverConfig, SolverError, _check_model,
+                           SolverConfig, SolverError, _check_model, models,
                            parse_solver_output, solve)
 
 
@@ -146,6 +146,39 @@ class TestInternal:
             SatResult(SAT, None)
         with pytest.raises(ValueError):
             SatResult(UNSAT, {1: True})
+
+
+class TestModels:
+    def test_one_model_per_projection(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            project = rng.randint(0, n)
+            clauses = [tuple(rng.choice([-1, 1]) * rng.randint(1, n)
+                             for _ in range(rng.randint(1, 3)))
+                       for _ in range(rng.randint(1, 12))]
+            formula = cnf(n, clauses)
+            expected = {bits[:project]
+                        for bits in product([False, True], repeat=n)
+                        if all(any(bits[abs(l) - 1] == (l > 0) for l in c)
+                               for c in clauses)}
+            *found, last = models(formula, project)
+            assert last.status == UNSAT
+            for result in found:
+                assert_total_and_satisfying(formula, result.assignment)
+            projections = [tuple(r.assignment[v]
+                                 for v in range(1, project + 1))
+                           for r in found]
+            assert len(projections) == len(set(projections))
+            assert set(projections) == expected
+
+    def test_one_deadline_for_the_whole_run(self):
+        # 2^20 models: the deadline ends the listing, not each model
+        start = time.monotonic()
+        *found, last = models(cnf(20, []), 20, timeout=0.2)
+        assert time.monotonic() - start < 2.0
+        assert last.status == UNKNOWN and "timeout" in last.diagnostics
+        assert 0 < len(found) < 1 << 20
 
 
 class TestModelCheck:
