@@ -6,8 +6,10 @@ of the backdoor reproduces the fixed-parameter minimality subprocedure
 symbolically: layered u variables simulate the least-model computation of
 the restricted reduct, and disjuncts mirror its accept conditions ((c)
 keeps only its L union X_i = M half; the rest repeats the premise and (b)).
-A query adds its literal to the program formula as one more root conjunct.
-Backdoor membership tests are compile-time constants and are folded away.
+What does not depend on X_i is built once, in VarTable; a block restricts
+it by the mask of X_i, with no restricted Program.  A query adds its
+literal to the program formula as one more root conjunct.  Backdoor
+membership tests are compile-time constants and are folded away.
 """
 from __future__ import annotations
 
@@ -16,15 +18,20 @@ from typing import IO, Literal
 
 from .backdoor import verify_strong_backdoor
 from .formula import Formula, Not, Var, conj, disj, iff, imp, neg, CnfFormula
-from .mincheck import backdoor_subsets, restrict_program
+from .mincheck import backdoor_subsets
 from .program import AtomSet, Program
 
 
 class VarTable:
-    """Variable ids: v vars 1..n, then u vars in build order, then labels.
+    """Variable ids, and the rule table that all blocks of a build share.
 
-    v returns the one Var of an atom; new_u hands out each u variable and
-    records its (block, layer, atom) cell.
+    Ids: v vars 1..n, then u vars in build order, then labels.  v returns
+    the one Var of an atom and neg_v its one negated literal; new_u hands
+    out each u variable and records its (block, layer, atom) cell.  rules
+    holds, per program rule in order, (head mask, head atoms outside the
+    backdoor X, positive body, negative-body literals); deriving[a] lists
+    the rules whose head outside X is a, readers[b] their heads with b in
+    the positive body, constraints the rules with no head outside X.
     """
 
     def __init__(self, program: Program, backdoor_atoms: AtomSet):
@@ -34,6 +41,22 @@ class VarTable:
         self.n_blocks = 1 << len(backdoor_atoms)
         self.cells: list[tuple[int, int, int]] = []
         self._v = [Var(a + 1) for a in range(self.n_atoms)]
+        self.neg_v = [neg(v) for v in self._v]
+        x = backdoor_atoms.mask
+        self.outside_x = [a for a in range(self.n_atoms) if not x >> a & 1]
+        self.rules, self.constraints = [], []
+        self.deriving = [[] for _ in range(self.n_atoms)]
+        self.readers = [[] for _ in range(self.n_atoms)]
+        for r in program.rules:
+            head, pos = tuple(AtomSet(r.head.mask & ~x)), tuple(r.pos_body)
+            rule = (r.head.mask, head, pos, [self.neg_v[b] for b in r.neg_body])
+            self.rules.append(rule)
+            if not head:
+                self.constraints.append(rule)
+            for h in head:  # one atom when X is a strong backdoor
+                self.deriving[h].append(rule)
+                for b in pos:
+                    self.readers[b].append(h)
 
     def v(self, atom_id: int) -> Var:
         return self._v[atom_id]
@@ -71,60 +94,49 @@ def build_f_mod(program: Program, vt: VarTable) -> Formula:
     """One conjunct per rule: the v assignment is a model of the symbolic reduct."""
     parts = []
     for r in program.rules:
-        premise = conj(neg(vt.v(b)) for b in r.neg_body)
-        conclusion = disj([neg(vt.v(b)) for b in r.pos_body]
+        premise = conj(vt.neg_v[b] for b in r.neg_body)
+        conclusion = disj([vt.neg_v[b] for b in r.pos_body]
                           + [vt.v(b) for b in r.head])
         parts.append(imp(premise, conclusion))
     return conj(parts)
 
 
-def build_f_lm_block(restricted: Program, block: int,
+def build_f_lm_block(xi: AtomSet, block: int,
                      vt: VarTable) -> tuple[Formula, list[Formula]]:
     """Layered least-model simulation for one backdoor subset: (F_lm, last row).
 
-    `restricted` is the program restricted to that subset (restrict_program).
-    A layer is a row of formulas, one per atom.  Layer 0 is all false; layer
-    j derives an atom if it was already derived or some restricted rule with
-    that head fires, its positive body read at layer j-1 and its negative
-    body checked against the v variables (the symbolic GL reduct).  Layer p
-    is the fixpoint.  A cell gets a u variable, defined by `u <-> cell`,
-    only if it is new:
+    The program is restricted to X_i through vt's rule table: a rule whose
+    head meets X_i is skipped, heads lose X, and the X_i atoms are read as
+    true in row 0 and never recomputed, so conj folds them out of positive
+    bodies.  Layer j derives an atom if it was already derived or some
+    restricted rule with that head fires, its positive body read at layer
+    j-1 and its negative body checked against the v variables (the
+    symbolic GL reduct).  Layer p is the fixpoint.  A cell gets a u
+    variable, defined by `u <-> cell`, only if it is new:
     - a constant or literal cell equals the gate it would have defined;
     - if an atom's firings equal, structurally, the list that last changed
       its cell, that cell already implies them, and layer values grow with
       j, so the cell at layer j is the one at j-1;
     - a layer equal to the one before it is the fixpoint, so the loop stops.
-    Every u is defined over v and earlier cells, so v fixes every u.  In a
-    negation-free program every firing folds to a constant and no u is made.
+    Every u is defined over v and earlier cells, so v fixes every u.
 
-    The work follows the changes (semi-naive evaluation).  Layer 1 computes
-    every atom; layer j > 1 computes, in ascending order, only the readers
-    of the cells that changed at layer j-1: the heads of the rules with such
-    a cell in their positive body.  Any other atom reads the same cells as
-    at layer j-1, so its firings equal the list that last changed its cell
-    and the rule above would keep the cell anyway.  A layer's changed cells
-    are written to the one row after the layer, so every read is of layer
-    j-1, and the loop stops at the first layer that changes no cell.  The u
-    variables, their order and every formula are therefore those of a full
-    recompute, and a chain of n atoms costs 2n firing computations, not n^2.
+    The work follows the changes (semi-naive evaluation): layer 1 computes
+    every atom outside X, layer j > 1 only the readers of the cells changed
+    at layer j-1, in ascending order, since any other atom would repeat the
+    firings that last changed its cell.  Each read is of layer j-1, so the
+    u variables, their order and every formula are those of a full
+    recompute, and a chain of n atoms costs 2n firing computations, not
+    n^2.  The last row is the least model L, so X_i reads false there.
     """
-    deriving: list[list] = [[] for _ in range(vt.n_atoms)]
-    readers: list[list[int]] = [[] for _ in range(vt.n_atoms)]
-    for r in restricted.rules:
-        if r.head:
-            (head_atom,) = r.head
-            deriving[head_atom].append(
-                (tuple(r.pos_body), [neg(vt.v(b)) for b in r.neg_body]))
-            for b in r.pos_body:
-                readers[b].append(head_atom)
-    row, last = [False] * vt.n_atoms, [None] * vt.n_atoms
-    todo = range(vt.n_atoms)
-    parts = []
+    skip = xi.mask
+    row = [skip >> a & 1 == 1 for a in range(vt.n_atoms)]
+    last, todo, parts = [None] * vt.n_atoms, vt.outside_x, []
     for j in range(1, vt.p + 1):
         changed = []
         for a in todo:
             firings = [conj([row[b] for b in pos] + negs)
-                       for pos, negs in deriving[a]]
+                       for head_mask, _, pos, negs in vt.deriving[a]
+                       if not head_mask & skip]
             if firings == last[a]:
                 continue
             last[a] = firings
@@ -137,47 +149,36 @@ def build_f_lm_block(restricted: Program, block: int,
                 changed.append((a, cell))
         if not changed:
             break
-        todo = sorted({h for a, _ in changed for h in readers[a]})
+        todo = sorted({h for a, _ in changed for h in vt.readers[a]})
         for a, cell in changed:
             row[a] = cell
-    return conj(parts), row
+    return conj(parts), [False if skip >> a & 1 else c for a, c in enumerate(row)]
 
 
-def build_f_min_block(program: Program, x: AtomSet, xi: AtomSet, block: int,
-                      vt: VarTable) -> Formula:
+def build_f_min_block(xi: AtomSet, block: int, vt: VarTable) -> Formula:
     """Block formula: F_lm, and the subset premise fails or L is accepted.
 
-    The accept disjuncts state that the simulated least model L (read at
-    layer p) (a) breaks a restricted constraint, (b) leaks out of M minus
-    X, (c) makes L union X_i equal M, or (d) breaks a rule of the reduct.
-    The paper's (c) also accepts an overflow and asks for X_i inside M, but
-    restriction clears X from the heads, so an overflow is the failed
-    premise or (b), and X_i inside M is the premise: (c) needs only
-    `v_a <-> L_a` for a outside X_i.  The paper puts F_lm under the premise;
-    here it is asserted outside.  F_lm fixes the block's u variables as a
-    function of v, so it holds for exactly one u assignment per v
-    assignment, and the v projections of the models stay the same.  Its
-    `u <-> ...` definitions then become root gate clauses in tseitin_cnf.
+    The accept disjuncts state that L union X_i (a) breaks a restricted
+    constraint, (b) leaks out of M minus X on L, (c) equals M, or (d) breaks
+    a rule of the reduct whose head misses X_i.  The paper's (c) also
+    accepts an overflow, which is the failed premise or (b) as heads lose X,
+    so (c) is `v_a <-> L_a` for a outside X_i.  F_lm is asserted outside the
+    premise, not under it: it fixes the block's u variables as a function
+    of v, so the v projections of the models stay the same, and its
+    `u <-> ...` definitions become root gate clauses.
     """
-    restricted = restrict_program(program, x, xi)
-    subset_premise = conj(vt.v(a) for a in xi)
-    f_lm, up = build_f_lm_block(restricted, block, vt)
-    f_a = disj(conj([neg(vt.v(b)) for b in r.neg_body]
-                    + [up[b] for b in r.pos_body])
-               for r in restricted.rules if not r.head)
-    f_b = disj(conj([neg(vt.v(a)), up[a]])
-               for a in range(vt.n_atoms) if a not in x)
-    f_c = conj(iff(vt.v(a), up[a]) for a in range(vt.n_atoms) if a not in xi)
-    f_d_parts = []
-    for r in program.rules:
-        if r.head.mask & xi.mask:
-            continue
-        f_d_parts.append(conj(
-            [neg(vt.v(a)) for a in r.neg_body]
-            + [neg(up[a]) for a in r.head]
-            + [up[b] for b in r.pos_body if b not in xi]))
-    f_d = disj(f_d_parts)
-    return conj([f_lm, disj([neg(subset_premise), f_a, f_b, f_c, f_d])])
+    skip = xi.mask
+    f_lm, up = build_f_lm_block(xi, block, vt)
+    lux = [skip >> a & 1 == 1 or cell for a, cell in enumerate(up)]
+    f_a = disj(conj(negs + [lux[b] for b in pos])
+               for head_mask, _, pos, negs in vt.constraints
+               if not head_mask & skip)
+    f_b = disj(conj([vt.neg_v[a], lux[a]]) for a in vt.outside_x)
+    f_c = conj(iff(vt.v(a), lux[a]) for a in range(vt.n_atoms) if not skip >> a & 1)
+    f_d = disj(conj(negs + [neg(lux[a]) for a in head] + [lux[b] for b in pos])
+               for head_mask, head, pos, negs in vt.rules
+               if not head_mask & skip)
+    return conj([f_lm, disj([neg(conj(vt.v(a) for a in xi)), f_a, f_b, f_c, f_d])])
 
 
 def build_program(program: Program, x: AtomSet) -> tuple[Formula, VarTable]:
@@ -185,10 +186,9 @@ def build_program(program: Program, x: AtomSet) -> tuple[Formula, VarTable]:
     subsets = backdoor_subsets(program, x)  # guards 2^k before any building
     if not verify_strong_backdoor(program, x):
         raise ValueError("x is not a strong normality backdoor")
-    effective = x & program.atoms
-    vt = VarTable(program, effective)
+    vt = VarTable(program, x & program.atoms)
     return conj([build_f_mod(program, vt),
-                 conj(build_f_min_block(program, effective, xi, i + 1, vt)
+                 conj(build_f_min_block(xi, i + 1, vt)
                       for i, xi in enumerate(subsets))]), vt
 
 

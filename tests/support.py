@@ -543,6 +543,66 @@ def full_recompute_f_lm_block(restricted: Program, block: int,
     return conj(parts), row
 
 
+def reference_f_lm_block(restricted: Program, block: int,
+                         vt: VarTable) -> tuple[Formula, list[Formula]]:
+    """build_f_lm_block over a restricted Program (restrict_program) instead
+    of vt's rule table: the per-block construction the encoder replaced,
+    kept as the reference for byte-identical blocks."""
+    deriving: list[list] = [[] for _ in range(vt.n_atoms)]
+    readers: list[list[int]] = [[] for _ in range(vt.n_atoms)]
+    for r in restricted.rules:
+        if r.head:
+            (head_atom,) = r.head
+            deriving[head_atom].append(
+                (tuple(r.pos_body), [neg(vt.v(b)) for b in r.neg_body]))
+            for b in r.pos_body:
+                readers[b].append(head_atom)
+    row, last = [False] * vt.n_atoms, [None] * vt.n_atoms
+    todo = range(vt.n_atoms)
+    parts = []
+    for j in range(1, vt.p + 1):
+        changed = []
+        for a in todo:
+            firings = [conj([row[b] for b in pos] + negs)
+                       for pos, negs in deriving[a]]
+            if firings == last[a]:
+                continue
+            last[a] = firings
+            cell = disj([row[a]] + firings)
+            if not isinstance(cell, (bool, Var, Not)):
+                u = vt.new_u(block, j, a)
+                parts.append(iff(u, cell))
+                cell = u
+            if cell != row[a]:
+                changed.append((a, cell))
+        if not changed:
+            break
+        todo = sorted({h for a, _ in changed for h in readers[a]})
+        for a, cell in changed:
+            row[a] = cell
+    return conj(parts), row
+
+
+def reference_f_min_block(program: Program, x: AtomSet, xi: AtomSet,
+                          block: int, vt: VarTable) -> Formula:
+    """build_f_min_block built from restrict_program(program, x, xi), with
+    every accept disjunct read off the restricted Program's rules."""
+    restricted = restrict_program(program, x, xi)
+    subset_premise = conj(vt.v(a) for a in xi)
+    f_lm, up = reference_f_lm_block(restricted, block, vt)
+    f_a = disj(conj([neg(vt.v(b)) for b in r.neg_body]
+                    + [up[b] for b in r.pos_body])
+               for r in restricted.rules if not r.head)
+    f_b = disj(conj([neg(vt.v(a)), up[a]])
+               for a in range(vt.n_atoms) if a not in x)
+    f_c = conj(iff(vt.v(a), up[a]) for a in range(vt.n_atoms) if a not in xi)
+    f_d = disj(conj([neg(vt.v(a)) for a in r.neg_body]
+                    + [neg(up[a]) for a in r.head]
+                    + [up[b] for b in r.pos_body if b not in xi])
+               for r in program.rules if not r.head.mask & xi.mask)
+    return conj([f_lm, disj([neg(subset_premise), f_a, f_b, f_c, f_d])])
+
+
 def block_assignment(program: Program, x: AtomSet, xi: AtomSet, block: int,
                      vt: VarTable, m: AtomSet) -> dict[int, bool]:
     """Assignment of all v variables and of block `block`'s u cells matching

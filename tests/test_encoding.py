@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
-from bdnsat import (AtomSet, find_backdoor, gl_reduct, is_answer_set,
+from bdnsat import (AtomSet, Program, find_backdoor, gl_reduct, is_answer_set,
                     least_model, parse_program)
 from bdnsat import encoding
 from bdnsat.encoding import (QuerySpec, VarTable, build_f_lm_block,
@@ -34,7 +34,7 @@ class TestVarTable:
         defined = []
         for i, xi in enumerate(backdoor_subsets(p1, x), start=1):
             before = len(vt.cells)
-            f_lm, _ = build_f_lm_block(restrict_program(p1, x, xi), i, vt)
+            f_lm, _ = build_f_lm_block(xi, i, vt)
             assert all(block == i and 1 <= layer <= vt.p
                        for block, layer, _ in vt.cells[before:])
             gates = f_lm.children if isinstance(f_lm, And) else [f_lm]
@@ -91,8 +91,7 @@ class TestFLm:
         # no rule has a head, so every layer variable must stay false
         p = parse_program(":- a, b.")
         vt = VarTable(p, AtomSet(0))
-        restricted = restrict_program(p, AtomSet(0), AtomSet(0))
-        f_lm, row = build_f_lm_block(restricted, 1, vt)
+        f_lm, row = build_f_lm_block(AtomSet(0), 1, vt)
         assert row == [False, False]
         assert f_lm is True
         assert vt.cells == []
@@ -101,7 +100,7 @@ class TestFLm:
         x = p1.atom_set(["b", "c", "h"])
         vt = VarTable(p1, x)
         m = p1.atom_set(["b", "c", "g"])
-        f_lm, up = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
+        f_lm, up = build_f_lm_block(AtomSet(0), 1, vt)
         assignment = support.block_assignment(p1, x, AtomSet(0), 1, vt, m)
         assert evaluate(f_lm, assignment)
         expected = p1.atom_set(["a", "g"])
@@ -112,7 +111,7 @@ class TestFLm:
         x = p1.atom_set(["b", "c", "h"])
         vt = VarTable(p1, x)
         m = p1.atom_set(["b", "c", "g"])
-        f_lm, _ = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
+        f_lm, _ = build_f_lm_block(AtomSet(0), 1, vt)
         assignment = support.block_assignment(p1, x, AtomSet(0), 1, vt, m)
         u_vars = sorted(variables(f_lm) - {vt.v(a).id for a in range(7)})
         assert u_vars
@@ -131,7 +130,7 @@ class TestFLm:
             subsets = backdoor_subsets(p, x)
             m = AtomSet(rng.getrandbits(len(p.table)) & p.atoms.mask)
             for i, xi in enumerate(subsets, start=1):
-                f_lm, up = build_f_lm_block(restrict_program(p, x, xi), i, vt)
+                f_lm, up = build_f_lm_block(xi, i, vt)
                 assignment = support.block_assignment(p, x, xi, i, vt, m)
                 assert evaluate(f_lm, assignment)
                 reduct = gl_reduct(p, m)
@@ -143,7 +142,7 @@ class TestFLm:
     def test_functional_determination(self, p1):
         x = p1.atom_set(["b", "c", "h"])
         vt = VarTable(p1, x)
-        f_lm, _ = build_f_lm_block(restrict_program(p1, x, AtomSet(0)), 1, vt)
+        f_lm, _ = build_f_lm_block(AtomSet(0), 1, vt)
         m = p1.atom_set(["b", "c", "g"])
         units = [(vt.v(a).id if a in m else -vt.v(a).id,)
                  for a in range(vt.n_atoms)]
@@ -189,7 +188,7 @@ class TestFoldedLayers:
         # the last row is the least model of each restricted reduct
         vt = VarTable(p, x)
         for i, xi in enumerate(backdoor_subsets(p, x), start=1):
-            f_lm, up = build_f_lm_block(restrict_program(p, x, xi), i, vt)
+            f_lm, up = build_f_lm_block(xi, i, vt)
             for mask in support.subsets_of(p.atoms.mask):
                 m = AtomSet(mask)
                 assignment = support.block_assignment(p, x, xi, i, vt, m)
@@ -207,7 +206,7 @@ class TestFoldedLayers:
         vt = VarTable(program, x)
         for i, xi in enumerate(backdoor_subsets(program, x), start=1):
             restricted = restrict_program(program, x, xi)
-            f_lm, row = build_f_lm_block(restricted, i, vt)
+            f_lm, row = build_f_lm_block(xi, i, vt)
             assert f_lm is True
             assert all(isinstance(cell, bool) for cell in row)
             assert AtomSet.of(a for a, cell in enumerate(row) if cell) == \
@@ -229,7 +228,7 @@ class TestFoldedLayers:
             vt, ref = VarTable(p, x), VarTable(p, x)
             for i, xi in enumerate(backdoor_subsets(p, x), start=1):
                 restricted = restrict_program(p, x, xi)
-                assert build_f_lm_block(restricted, i, vt) == \
+                assert build_f_lm_block(xi, i, vt) == \
                     support.full_recompute_f_lm_block(restricted, i, ref)
                 assert vt.cells == ref.cells
 
@@ -247,8 +246,7 @@ class TestFoldedLayers:
         monkeypatch.setattr(encoding, "conj", counted)
         p = support.chain_program(n)
         vt = VarTable(p, AtomSet(0))
-        f_lm, row = build_f_lm_block(
-            restrict_program(p, AtomSet(0), AtomSet(0)), 1, vt)
+        f_lm, row = build_f_lm_block(AtomSet(0), 1, vt)
         assert f_lm is True and all(cell is True for cell in row)
         assert calls <= 2 * n + 1
 
@@ -265,7 +263,7 @@ class TestFMinBlock:
             vt = VarTable(p1, x)
             xi = p1.atom_set(xi_names)
             assert backdoor_subsets(p1, x)[i - 1] == xi  # counter order
-            block = build_f_min_block(p1, x, xi, i, vt)
+            block = build_f_min_block(xi, i, vt)
             m = p1.atom_set(m_names)
             assert not xi.issubset(m)
             assignment = support.block_assignment(p1, x, xi, i, vt, m)
@@ -281,7 +279,7 @@ class TestFMinBlock:
         x = p1.atom_set(["b", "c", "h"])
         vt = VarTable(p1, x)
         m = p1.atom_set(["b", "c", "g"])
-        block = build_f_min_block(p1, x, AtomSet(0), 1, vt)
+        block = build_f_min_block(AtomSet(0), 1, vt)
         assignment = support.block_assignment(p1, x, AtomSet(0), 1, vt, m)
         assert evaluate(block, assignment)
         outcome = mincheck(p1, m, x, AtomSet(0))
@@ -301,10 +299,28 @@ class TestFMinBlock:
                 if not is_model(m, reduct):
                     continue
                 for i, xi in enumerate(subsets, start=1):
-                    block = build_f_min_block(p, x, xi, i, vt)
+                    block = build_f_min_block(xi, i, vt)
                     assignment = support.block_assignment(p, x, xi, i, vt, m)
                     assert evaluate(block, assignment) == \
                         bool(mincheck(p, m, x, xi))
+
+    @pytest.mark.parametrize("programs", [
+        lambda: support.corpus(2013, 500, max_atoms=7, max_rules=10),
+        lambda: [ring_program(entry, n) for n in range(3, 12)
+                 for entry in ("x1 :- not y. y :- not x1.", "x1 | y.")],
+        lambda: [support.chain_program(30)],
+        lambda: [support.padded_backdoor_program(3)],
+    ], ids=["corpus", "rings", "chain30", "padded3"])
+    def test_blocks_equal_reference_builder(self, programs):
+        # the rule table restricted by masks builds, block for block, the
+        # formula and u cells of the builder over restrict_program
+        for p in programs():
+            x = find_backdoor(p).atoms
+            vt, ref = VarTable(p, x), VarTable(p, x)
+            for i, xi in enumerate(backdoor_subsets(p, x), start=1):
+                assert build_f_min_block(xi, i, vt) == \
+                    support.reference_f_min_block(p, x, xi, i, ref)
+                assert vt.cells == ref.cells
 
 
 class TestBuildQuery:
@@ -326,16 +342,22 @@ class TestBuildQuery:
         _, vt, _ = solve_query(p1, x, "brave", "b")
         assert vt.n_blocks == 8
 
-    def test_restricts_once_per_block(self, p1, monkeypatch):
-        calls = []
+    def test_builds_no_restricted_program(self, p1, monkeypatch):
+        # every block reads the one rule table of the VarTable
+        restricts, programs = [], []
+        init = Program.__init__
 
-        def spy(*args):
-            calls.append(args)
-            return restrict_program(*args)
-        monkeypatch.setattr(encoding, "restrict_program", spy)
+        def counted_init(self, *args, **kwargs):
+            programs.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr("bdnsat.mincheck.restrict_program",
+                            lambda *args: restricts.append(args)
+                            or restrict_program(*args))
+        monkeypatch.setattr(Program, "__init__", counted_init)
         x = p1.atom_set(["b", "c", "h"])
         _, vt = build_query(p1, x, QuerySpec("brave", "b"))
-        assert len(calls) == vt.n_blocks
+        assert vt.n_blocks == 8
+        assert restricts == [] and programs == []
 
     def test_query_cnf_is_program_cnf_plus_unit(self):
         programs = support.corpus(2013, 500, max_atoms=7, max_rules=10)
