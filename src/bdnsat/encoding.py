@@ -4,12 +4,12 @@ The formula is satisfiable iff some subset M of at(P), read off the v
 variables, is an answer set meeting the query.  One block per subset X_i
 of the backdoor reproduces the fixed-parameter minimality subprocedure
 symbolically: layered u variables simulate the least-model computation of
-the restricted reduct, and disjuncts mirror its accept conditions ((c)
-keeps only its L union X_i = M half; the rest repeats the premise and (b)).
-What does not depend on X_i is built once, in VarTable; a block restricts
-it by the mask of X_i, with no restricted Program.  A query adds its
-literal to the program formula as one more root conjunct.  Backdoor
-membership tests are compile-time constants and are folded away.
+the restricted reduct, and the block accepts its least model L if X_i is
+not in M, or L union X_i breaks a constraint (a), leaks out of M (b) or
+covers M (c).  What does not depend on X_i is built once, in VarTable; a
+block restricts it by the mask of X_i, with no restricted Program.  A
+query adds its literal to the program formula as one more root conjunct.
+Backdoor membership tests are compile-time constants and are folded away.
 """
 from __future__ import annotations
 
@@ -27,11 +27,11 @@ class VarTable:
 
     Ids: v vars 1..n, then u vars in build order, then labels.  v returns
     the one Var of an atom and neg_v its one negated literal; new_u hands
-    out each u variable and records its (block, layer, atom) cell.  rules
-    holds, per program rule in order, (head mask, head atoms outside the
-    backdoor X, positive body, negative-body literals); deriving[a] lists
-    the rules whose head outside X is a, readers[b] their heads with b in
-    the positive body, constraints the rules with no head outside X.
+    out each u variable and records its (block, layer, atom) cell.  A rule
+    is the tuple (head mask, positive body, negative-body literals);
+    deriving[a] lists the rules whose head outside the backdoor X is a,
+    readers[b] their heads with b in the positive body, and constraints
+    the rules with no head outside X.
     """
 
     def __init__(self, program: Program, backdoor_atoms: AtomSet):
@@ -44,13 +44,12 @@ class VarTable:
         self.neg_v = [neg(v) for v in self._v]
         x = backdoor_atoms.mask
         self.outside_x = [a for a in range(self.n_atoms) if not x >> a & 1]
-        self.rules, self.constraints = [], []
+        self.constraints = []
         self.deriving = [[] for _ in range(self.n_atoms)]
         self.readers = [[] for _ in range(self.n_atoms)]
         for r in program.rules:
-            head, pos = tuple(AtomSet(r.head.mask & ~x)), tuple(r.pos_body)
-            rule = (r.head.mask, head, pos, [self.neg_v[b] for b in r.neg_body])
-            self.rules.append(rule)
+            head, pos = AtomSet(r.head.mask & ~x), tuple(r.pos_body)
+            rule = (r.head.mask, pos, [self.neg_v[b] for b in r.neg_body])
             if not head:
                 self.constraints.append(rule)
             for h in head:  # one atom when X is a strong backdoor
@@ -135,7 +134,7 @@ def build_f_lm_block(xi: AtomSet, block: int,
         changed = []
         for a in todo:
             firings = [conj([row[b] for b in pos] + negs)
-                       for head_mask, _, pos, negs in vt.deriving[a]
+                       for head_mask, pos, negs in vt.deriving[a]
                        if not head_mask & skip]
             if firings == last[a]:
                 continue
@@ -158,27 +157,25 @@ def build_f_lm_block(xi: AtomSet, block: int,
 def build_f_min_block(xi: AtomSet, block: int, vt: VarTable) -> Formula:
     """Block formula: F_lm, and the subset premise fails or L is accepted.
 
-    The accept disjuncts state that L union X_i (a) breaks a restricted
-    constraint, (b) leaks out of M minus X on L, (c) equals M, or (d) breaks
-    a rule of the reduct whose head misses X_i.  The paper's (c) also
-    accepts an overflow, which is the failed premise or (b) as heads lose X,
-    so (c) is `v_a <-> L_a` for a outside X_i.  F_lm is asserted outside the
-    premise, not under it: it fixes the block's u variables as a function
-    of v, so the v projections of the models stay the same, and its
-    `u <-> ...` definitions become root gate clauses.
+    L union X_i is accepted if it (a) breaks a restricted constraint, (b)
+    leaks out of M minus X on L, or (c) covers M, `v_a -> L_a` for a
+    outside X_i: the paper's (c) asks for L union X_i = M, but the premise
+    and not (b) give L union X_i <= M.  The paper's (d), a broken reduct
+    rule whose head misses X_i, adds nothing: L is a fixpoint, so only a
+    rule with its head in X can break, and its term is (a)'s.  F_lm, outside
+    the premise, fixes the u variables as a function of v, so the v
+    projections of the models stay and its `u <-> ...` gates become root
+    clauses.
     """
     skip = xi.mask
     f_lm, up = build_f_lm_block(xi, block, vt)
     lux = [skip >> a & 1 == 1 or cell for a, cell in enumerate(up)]
     f_a = disj(conj(negs + [lux[b] for b in pos])
-               for head_mask, _, pos, negs in vt.constraints
+               for head_mask, pos, negs in vt.constraints
                if not head_mask & skip)
     f_b = disj(conj([vt.neg_v[a], lux[a]]) for a in vt.outside_x)
-    f_c = conj(iff(vt.v(a), lux[a]) for a in range(vt.n_atoms) if not skip >> a & 1)
-    f_d = disj(conj(negs + [neg(lux[a]) for a in head] + [lux[b] for b in pos])
-               for head_mask, head, pos, negs in vt.rules
-               if not head_mask & skip)
-    return conj([f_lm, disj([neg(conj(vt.v(a) for a in xi)), f_a, f_b, f_c, f_d])])
+    f_c = conj(disj([vt.neg_v[a], c]) for a, c in enumerate(lux) if not skip >> a & 1)
+    return conj([f_lm, disj([neg(conj(vt.v(a) for a in xi)), f_a, f_b, f_c])])
 
 
 def build_program(program: Program, x: AtomSet) -> tuple[Formula, VarTable]:

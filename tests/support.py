@@ -16,7 +16,7 @@ from bdnsat import (AtomSet, AtomTable, Program, Rule, gl_reduct, is_model,
                     parse_program, verify_strong_backdoor)
 from bdnsat.encoding import VarTable
 from bdnsat.formula import (And, CnfFormula, Formula, Iff, Not, Or, Var, conj,
-                            disj, emit_dimacs, iff, neg)
+                            disj, emit_dimacs, iff, imp, neg)
 from bdnsat.mincheck import _subprocedure, restrict_program
 
 # --- brute-force answer-set oracles, straight from the definition ----------
@@ -595,12 +595,8 @@ def reference_f_min_block(program: Program, x: AtomSet, xi: AtomSet,
                for r in restricted.rules if not r.head)
     f_b = disj(conj([neg(vt.v(a)), up[a]])
                for a in range(vt.n_atoms) if a not in x)
-    f_c = conj(iff(vt.v(a), up[a]) for a in range(vt.n_atoms) if a not in xi)
-    f_d = disj(conj([neg(vt.v(a)) for a in r.neg_body]
-                    + [neg(up[a]) for a in r.head]
-                    + [up[b] for b in r.pos_body if b not in xi])
-               for r in program.rules if not r.head.mask & xi.mask)
-    return conj([f_lm, disj([neg(subset_premise), f_a, f_b, f_c, f_d])])
+    f_c = conj(imp(vt.v(a), up[a]) for a in range(vt.n_atoms) if a not in xi)
+    return conj([f_lm, disj([neg(subset_premise), f_a, f_b, f_c])])
 
 
 def block_assignment(program: Program, x: AtomSet, xi: AtomSet, block: int,

@@ -286,10 +286,16 @@ class TestFMinBlock:
         assert "a" in outcome
 
     def test_block_truth_equals_mincheck(self):
+        # the chain and the `x1 | y.` rings have constant-true cells in L,
+        # where the accept condition (c) folds away
         rng = random.Random(41)
         from bdnsat import is_model
-        for _ in range(25):
-            p = support.random_program(rng, max_atoms=5, max_rules=7)
+        programs = [support.random_program(rng, max_atoms=5, max_rules=7)
+                    for _ in range(25)]
+        programs += [support.chain_program(6)]
+        programs += [ring_program(entry, n) for n in range(3, 7)
+                     for entry in ("x1 :- not y. y :- not x1.", "x1 | y.")]
+        for p in programs:
             x = find_backdoor(p).atoms
             vt = VarTable(p, x)
             subsets = backdoor_subsets(p, x)
@@ -390,8 +396,20 @@ class TestBuildQuery:
         x = p1.atom_set(["b", "c", "h"])
         formula, vt = build_query(p1, x, QuerySpec("brave", "b"))
         cnf = tseitin_cnf(formula, vt.n_reserved)
-        assert node_count(formula) == 216
-        assert (cnf.n_vars, len(cnf.clauses)) == (44, 148)
+        assert node_count(formula) == 183
+        assert (cnf.n_vars, len(cnf.clauses)) == (35, 110)
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 200])
+    def test_chain_cnf_is_its_rules_plus_the_query(self, n):
+        # k = 0 and every atom follows from the fact, so L is constant true,
+        # and the one block's accept conditions fold to True: one clause per
+        # rule and the query unit remain
+        p = support.chain_program(n)
+        formula, vt = build_query(p, AtomSet(0), QuerySpec("brave", f"x{n}"))
+        cnf = tseitin_cnf(formula, vt.n_reserved)
+        assert cnf.n_vars == n
+        assert cnf.clauses == ([(1,)] + [(-i, i + 1) for i in range(1, n)]
+                               + [(n,)])
 
     def test_v_fixes_the_whole_cnf_model(self, p1):
         # Every label and u variable is a function of v: a brave model is

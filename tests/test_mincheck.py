@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import support
 from bdnsat import (AtomSet, find_backdoor, gl_reduct, is_answer_set,
                     parse_program, restrict_program)
-from bdnsat.mincheck import backdoor_subsets
+from bdnsat.mincheck import _subprocedure, backdoor_subsets
 from support import mincheck, naive_is_answer_set
 
 
@@ -116,6 +116,27 @@ class TestMinCheck:
         p1, m, _ = p1_setup
         with pytest.raises(ValueError):
             mincheck(p1, m, p1.atom_set(["b"]), AtomSet(0))
+
+    def test_constraint_condition_iff_reduct_condition_on_corpus(self):
+        # (a) and (d) fire together: the least model is closed under the
+        # restricted rules, so L union X1 can only break a reduct rule
+        # whose head lies in X minus X1, a constraint of the restricted
+        # program.  The encoding leaves (d) out on this ground.
+        runs = fired_d = 0
+        for p in support.corpus(2013, 500, max_atoms=7, max_rules=10):
+            x = find_backdoor(p).atoms
+            subsets = backdoor_subsets(p, x)
+            for mask in support.subsets_of(p.atoms.mask):
+                m = AtomSet(mask)
+                reduct = gl_reduct(p, m)
+                for x1 in subsets:
+                    if not x1.issubset(m):
+                        continue
+                    outcome = _subprocedure(reduct, m, x, x1)
+                    assert ("a" in outcome) == ("d" in outcome)
+                    runs += 1
+                    fired_d += "d" in outcome
+        assert runs > 0 and fired_d > 0
 
     def test_diagnostics_reproducible(self, p1_setup):
         p1, m, x = p1_setup
