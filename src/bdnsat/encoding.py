@@ -1,11 +1,12 @@
 """Compile brave/skeptical queries into a single propositional formula.
 
 The formula is satisfiable iff some subset M of at(P), read off the v
-variables, is an answer set meeting the query.  One block per subset X_i
-of the backdoor reproduces the fixed-parameter minimality subprocedure
+variables, is an answer set meeting the query.  F_mod, one clause per rule,
+says that M is a model of the reduct.  One block per subset X_i of the
+backdoor reproduces the fixed-parameter minimality subprocedure
 symbolically: layered u variables simulate the least-model computation of
-the restricted reduct, and the block accepts its least model L if X_i is
-not in M, or L union X_i breaks a constraint (a), leaks out of M (b) or
+the restricted reduct, and one accept clause holds if X_i is not in M, or
+its least model L union X_i breaks a constraint (a), leaks out of M (b) or
 covers M (c).  What does not depend on X_i is built once, in VarTable; a
 block restricts it by the mask of X_i, with no restricted Program.  A
 query adds its literal to the program formula as one more root conjunct.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import IO, Literal
 
 from .backdoor import verify_strong_backdoor
-from .formula import Formula, Not, Var, conj, disj, iff, imp, neg, CnfFormula
+from .formula import Formula, Not, Var, conj, disj, iff, neg, CnfFormula
 from .mincheck import backdoor_subsets
 from .program import AtomSet, Program
 
@@ -90,14 +91,10 @@ class QuerySpec:
 
 
 def build_f_mod(program: Program, vt: VarTable) -> Formula:
-    """One conjunct per rule: the v assignment is a model of the symbolic reduct."""
-    parts = []
-    for r in program.rules:
-        premise = conj(vt.neg_v[b] for b in r.neg_body)
-        conclusion = disj([vt.neg_v[b] for b in r.pos_body]
-                          + [vt.v(b) for b in r.head])
-        parts.append(imp(premise, conclusion))
-    return conj(parts)
+    """One clause per rule, `B- or not B+ or H`: M is a model of the reduct."""
+    return conj(disj([vt.v(b) for b in r.neg_body]
+                     + [vt.neg_v[b] for b in r.pos_body]
+                     + [vt.v(h) for h in r.head]) for r in program.rules)
 
 
 def build_f_lm_block(xi: AtomSet, block: int,
@@ -155,27 +152,27 @@ def build_f_lm_block(xi: AtomSet, block: int,
 
 
 def build_f_min_block(xi: AtomSet, block: int, vt: VarTable) -> Formula:
-    """Block formula: F_lm, and the subset premise fails or L is accepted.
+    """Block formula: F_lm, and the accept clause of L union X_i.
 
-    L union X_i is accepted if it (a) breaks a restricted constraint, (b)
+    The clause is `OR_{a in X_i} not v_a or (a) or (b) or (c)`: the subset
+    premise fails, or L union X_i (a) breaks a restricted constraint, (b)
     leaks out of M minus X on L, or (c) covers M, `v_a -> L_a` for a
-    outside X_i: the paper's (c) asks for L union X_i = M, but the premise
-    and not (b) give L union X_i <= M.  The paper's (d), a broken reduct
-    rule whose head misses X_i, adds nothing: L is a fixpoint, so only a
-    rule with its head in X can break, and its term is (a)'s.  F_lm, outside
-    the premise, fixes the u variables as a function of v, so the v
-    projections of the models stay and its `u <-> ...` gates become root
-    clauses.
+    outside X_i.  Each (a) and (b) term is a disjunct of the clause itself.
+    The paper's (c) asks for L union X_i = M, but the premise and not (b)
+    give L union X_i <= M.  The paper's (d), a broken reduct rule whose
+    head misses X_i, adds nothing: L is a fixpoint, so only a rule with its
+    head in X can break, and its term is (a)'s.  F_lm, outside the clause,
+    fixes the u variables as a function of v, so the v projections of the
+    models stay and its `u <-> ...` gates become root clauses.
     """
     skip = xi.mask
     f_lm, up = build_f_lm_block(xi, block, vt)
     lux = [skip >> a & 1 == 1 or cell for a, cell in enumerate(up)]
-    f_a = disj(conj(negs + [lux[b] for b in pos])
-               for head_mask, pos, negs in vt.constraints
-               if not head_mask & skip)
-    f_b = disj(conj([vt.neg_v[a], lux[a]]) for a in vt.outside_x)
+    f_a = [conj(negs + [lux[b] for b in pos])
+           for head_mask, pos, negs in vt.constraints if not head_mask & skip]
+    f_b = [conj([vt.neg_v[a], lux[a]]) for a in vt.outside_x]
     f_c = conj(disj([vt.neg_v[a], c]) for a, c in enumerate(lux) if not skip >> a & 1)
-    return conj([f_lm, disj([neg(conj(vt.v(a) for a in xi)), f_a, f_b, f_c])])
+    return conj([f_lm, disj([vt.neg_v[a] for a in xi] + f_a + f_b + [f_c])])
 
 
 def build_program(program: Program, x: AtomSet) -> tuple[Formula, VarTable]:

@@ -140,7 +140,7 @@ def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _nodes(formula: Formula) -> Iterator[Formula]:
+def nodes(formula: Formula) -> Iterator[Formula]:
     """Every node occurrence, depth first, last child first."""
     stack = [formula]
     while stack:
@@ -156,11 +156,11 @@ def _nodes(formula: Formula) -> Iterator[Formula]:
 
 
 def variables(formula: Formula) -> set[int]:
-    return {node.id for node in _nodes(formula) if isinstance(node, Var)}
+    return {node.id for node in nodes(formula) if isinstance(node, Var)}
 
 
 def node_count(formula: Formula) -> int:
-    return sum(1 for _ in _nodes(formula))
+    return sum(1 for _ in nodes(formula))
 
 
 def mincheck(program: Program, m: AtomSet, x: AtomSet,
@@ -588,15 +588,13 @@ def reference_f_min_block(program: Program, x: AtomSet, xi: AtomSet,
     """build_f_min_block built from restrict_program(program, x, xi), with
     every accept disjunct read off the restricted Program's rules."""
     restricted = restrict_program(program, x, xi)
-    subset_premise = conj(vt.v(a) for a in xi)
     f_lm, up = reference_f_lm_block(restricted, block, vt)
-    f_a = disj(conj([neg(vt.v(b)) for b in r.neg_body]
-                    + [up[b] for b in r.pos_body])
-               for r in restricted.rules if not r.head)
-    f_b = disj(conj([neg(vt.v(a)), up[a]])
-               for a in range(vt.n_atoms) if a not in x)
+    failed_premise = [neg(vt.v(a)) for a in xi]
+    f_a = [conj([neg(vt.v(b)) for b in r.neg_body] + [up[b] for b in r.pos_body])
+           for r in restricted.rules if not r.head]
+    f_b = [conj([neg(vt.v(a)), up[a]]) for a in range(vt.n_atoms) if a not in x]
     f_c = conj(imp(vt.v(a), up[a]) for a in range(vt.n_atoms) if a not in xi)
-    return conj([f_lm, disj([neg(subset_premise), f_a, f_b, f_c])])
+    return conj([f_lm, disj(failed_premise + f_a + f_b + [f_c])])
 
 
 def block_assignment(program: Program, x: AtomSet, xi: AtomSet, block: int,

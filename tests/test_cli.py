@@ -217,8 +217,8 @@ class TestEncode:
         assert code == 0
         # Pinned (detected backdoor a, c, h): a change to the encoding's
         # size must update these on purpose.
-        assert out.splitlines() == ["blocks: 8", "variables: 40",
-                                    "clauses: 126"]
+        assert out.splitlines() == ["blocks: 8", "variables: 31",
+                                    "clauses: 95"]
         header = cnf_path.read_text().splitlines()[0].split()
         assert header[:2] == ["p", "cnf"]
         map_lines = map_path.read_text().splitlines()

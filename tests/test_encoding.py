@@ -10,11 +10,11 @@ from bdnsat import encoding
 from bdnsat.encoding import (QuerySpec, VarTable, build_f_lm_block,
                              build_f_min_block, build_f_mod, build_program,
                              build_query, decode_model, write_var_map)
-from bdnsat.formula import And, tseitin_cnf
+from bdnsat.formula import And, Not, Var, tseitin_cnf
 from bdnsat.mincheck import backdoor_subsets, restrict_program
 from bdnsat.solver import SAT, UNSAT, SolverConfig, solve
 import io
-from support import (brave_atoms, evaluate, mincheck, node_count,
+from support import (brave_atoms, evaluate, mincheck, node_count, nodes,
                      skeptical_atoms, variables)
 
 
@@ -72,6 +72,18 @@ class TestFMod:
         m = p1.atom_set(["b", "c", "g"])
         assignment = {vt.v(a).id: a in m for a in range(vt.n_atoms)}
         assert evaluate(f, assignment)
+
+    @pytest.mark.parametrize("programs", [
+        lambda: support.corpus(2013, 500, max_atoms=7, max_rules=10),
+        lambda: [support.p1()],
+    ], ids=["corpus", "p1"])
+    def test_each_rule_is_one_clause(self, programs):
+        # B-, the negated B+ and H share one clause, so F_mod needs no label
+        for p in programs():
+            vt = VarTable(p, AtomSet(0))
+            cnf = tseitin_cnf(build_f_mod(p, vt), vt.n_reserved)
+            assert len(cnf.clauses) == len(p.rules)
+            assert cnf.n_vars == vt.n_reserved
 
     def test_matches_model_of_reduct_semantics(self):
         rng = random.Random(23)
@@ -163,6 +175,15 @@ def ring_program(entry: str, n: int):
     return parse_program("\n".join(rules + [f"x1 :- x{n}."]) + "\n")
 
 
+families = pytest.mark.parametrize("programs", [
+    lambda: support.corpus(2013, 500, max_atoms=7, max_rules=10),
+    lambda: [ring_program(entry, n) for n in range(3, 12)
+             for entry in ("x1 :- not y. y :- not x1.", "x1 | y.")],
+    lambda: [support.chain_program(30)],
+    lambda: [support.padded_backdoor_program(3)],
+], ids=["corpus", "rings", "chain30", "padded3"])
+
+
 class TestFoldedLayers:
     # With k = 0 the ring is entered through `not y`, so its cells fold to
     # v literals, not to constants, until the ring closes on itself.  With
@@ -215,13 +236,7 @@ class TestFoldedLayers:
         _, vt = build_query(program, x, QuerySpec("brave", atom))
         assert vt.n_reserved == vt.n_atoms
 
-    @pytest.mark.parametrize("programs", [
-        lambda: support.corpus(2013, 500, max_atoms=7, max_rules=10),
-        lambda: [ring_program(entry, n) for n in range(3, 12)
-                 for entry in ("x1 :- not y. y :- not x1.", "x1 | y.")],
-        lambda: [support.chain_program(30)],
-        lambda: [support.padded_backdoor_program(3)],
-    ], ids=["corpus", "rings", "chain30", "padded3"])
+    @families
     def test_change_driven_layers_equal_full_recompute(self, programs):
         for p in programs():
             x = find_backdoor(p).atoms
@@ -310,13 +325,7 @@ class TestFMinBlock:
                     assert evaluate(block, assignment) == \
                         bool(mincheck(p, m, x, xi))
 
-    @pytest.mark.parametrize("programs", [
-        lambda: support.corpus(2013, 500, max_atoms=7, max_rules=10),
-        lambda: [ring_program(entry, n) for n in range(3, 12)
-                 for entry in ("x1 :- not y. y :- not x1.", "x1 | y.")],
-        lambda: [support.chain_program(30)],
-        lambda: [support.padded_backdoor_program(3)],
-    ], ids=["corpus", "rings", "chain30", "padded3"])
+    @families
     def test_blocks_equal_reference_builder(self, programs):
         # the rule table restricted by masks builds, block for block, the
         # formula and u cells of the builder over restrict_program
@@ -382,6 +391,17 @@ class TestBuildQuery:
                     assert cnf.n_vars == base.n_vars
                     assert cnf.clauses == base.clauses + [(lit,)]
 
+    @families
+    def test_negation_only_wraps_variables(self, programs):
+        # a failed subset premise is its negated v literals, not a negated
+        # And, so no Tseitin label stands for a gate only to be negated
+        for p in programs():
+            name = p.atom_names(p.atoms)[0]
+            formula, _ = build_query(p, find_backdoor(p).atoms,
+                                     QuerySpec("skeptical", name))
+            assert all(isinstance(node.child, Var) for node in nodes(formula)
+                       if isinstance(node, Not))
+
     def test_unknown_atom_rejected(self, p1):
         with pytest.raises(ValueError):
             build_query(p1, p1.atom_set(["b", "c", "h"]), QuerySpec("brave", "zz"))
@@ -396,8 +416,8 @@ class TestBuildQuery:
         x = p1.atom_set(["b", "c", "h"])
         formula, vt = build_query(p1, x, QuerySpec("brave", "b"))
         cnf = tseitin_cnf(formula, vt.n_reserved)
-        assert node_count(formula) == 183
-        assert (cnf.n_vars, len(cnf.clauses)) == (35, 110)
+        assert node_count(formula) == 179
+        assert (cnf.n_vars, len(cnf.clauses)) == (27, 83)
 
     @pytest.mark.parametrize("n", [1, 2, 30, 200])
     def test_chain_cnf_is_its_rules_plus_the_query(self, n):
